@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-hot bench-json bench-diff warm-cache fuzz chaos serve-metrics smoke-metrics load service-smoke crash-recovery log-bench explain-bench policy-race all
+.PHONY: build test race vet determinism bench bench-hot bench-json bench-diff warm-cache fuzz chaos serve-metrics smoke-metrics load service-smoke crash-recovery log-bench explain-bench policy-race all
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,23 @@ test:
 race:
 	$(GO) test -race ./...
 
+# go vet plus a gofmt gate: any file gofmt would rewrite fails the target
+# (dot-directories such as .bench_build/ are skipped).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
+
+# The deterministic-mode contracts at several GOMAXPROCS values, repeated:
+# result and audit-log identity across Parallelism for the root, topk and
+# compare layers, and the step loop's byte identity with the frozen
+# pre-refactor comparison loop.
+DETERMINISM = -cpu 1,2,8 -count 3
+determinism:
+	$(GO) test . $(DETERMINISM) -run 'TestPolicyLayerCrossLayerEquivalence/.*/deterministic'
+	$(GO) test . $(DETERMINISM) -run 'TestQueryParallelismEquivalence|TestSessionParallelismEquivalence'
+	$(GO) test ./internal/topk/ $(DETERMINISM) -run 'TestAlgorithmsParallelEquivalence|TestCompareAllParallelEquivalence'
+	$(GO) test ./internal/compare/ $(DETERMINISM) -run 'TestConcurrentAdvanceMatchesSequential|TestRunnerMatchesLegacyReferenceLoop'
 
 # Wall-clock impact of the comparison-wave worker pool, plus the existing
 # algorithm cost benchmarks.

@@ -120,16 +120,6 @@ func (r *Runner) enabled() bool { return r.tel != nil }
 // state: telemetry spans, or cost attribution recording conclusions.
 func (r *Runner) instrumented() bool { return r.tel != nil || r.acct.explain != nil }
 
-// memoHit counts a comparison answered from the memo.
-func (r *Runner) memoHit(i, j int) {
-	if ins := r.ins; ins != nil {
-		ins.MemoHits.Inc()
-	}
-	if c := r.acct.explain; c != nil {
-		c.MemoHit(r.Phase(), i, j)
-	}
-}
-
 // compState tracks one in-flight comparison process across wave steps:
 // its pair, open span and how many batch rounds it has consumed so far.
 type compState struct {

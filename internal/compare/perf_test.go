@@ -104,3 +104,27 @@ func TestConcludedAllocationFree(t *testing.T) {
 		t.Errorf("Concluded (miss orientation) allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// undecided is a Tester that never reaches a verdict, so every Advance on
+// its pair buys a batch.
+type undecided struct{}
+
+func (undecided) Name() string                 { return "undecided" }
+func (undecided) MinSamples() int              { return 2 }
+func (undecided) Test(v crowd.BagView) Outcome { return Tie }
+
+// TestAdvanceAllocations pins the wave step's allocation count with
+// telemetry off: one Advance on an undecided pair tests, buys one batch
+// and tests again for exactly one allocation — the engine's published
+// view snapshot. The step's purchase closure must stay on the stack.
+func TestAdvanceAllocations(t *testing.T) {
+	r := NewRunner(pairEngine(0, 0.3, 31), undecided{}, Params{B: 0, I: 30, Step: 30})
+	r.Advance(0, 1) // cold start: creates the pair and its stream
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, done := r.Advance(0, 1); done {
+			t.Fatal("Advance finished an undecided pair")
+		}
+	}); allocs > 1 {
+		t.Errorf("Advance allocates %.1f objects/op on an undecided pair, want <= 1", allocs)
+	}
+}

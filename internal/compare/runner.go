@@ -77,7 +77,7 @@ func (p Params) validate() {
 // clock, and memoizes conclusions so the rest of the query can reuse them
 // for free.
 //
-// Concluded, Advance, TestOnly, Leaning and Workload are safe for
+// Concluded, Reuse, Advance, TestOnly, Leaning and Workload are safe for
 // concurrent use on distinct pairs — the shape parallel comparison waves
 // need. Concurrent Advance calls on the *same* pair are the caller's
 // responsibility to avoid (waves deduplicate pairs before fanning out);
@@ -240,7 +240,7 @@ type queryAcct struct {
 	// this acct to its (phase, pair) leaf (SetExplain). It lives on the
 	// acct — not the runner — so derived sub-phase runners attribute to
 	// the parent query, and its leaf sum always equals tmc: both meters
-	// are fed by exactly the same charge sites.
+	// are fed by the runner's one charge site.
 	explain *explain.Collector
 
 	mu   sync.Mutex
@@ -386,9 +386,10 @@ func (f *FixedStep) withParams(p Params) Policy { return NewFixedStep(f.T, p.I, 
 // adopted across stopping semantics — an adaptive policy's early
 // surrender is not the fixed schedule's exhausted tie, and vice versa. A
 // pinned query instead re-judges such pairs under its own stopping rule
-// against the session's already-purchased evidence, which usually
-// concludes without buying new samples. Call before the query starts
-// executing.
+// against the session's already-purchased evidence: every comparison
+// step tests before it buys, so evidence that already decides the pair
+// concludes it at zero cost, in Compare and Advance alike. Call before
+// the query starts executing.
 func (r *Runner) SetPolicy(t Tester) {
 	if t == nil {
 		panic("compare: SetPolicy requires a non-nil policy")
@@ -457,7 +458,7 @@ func (r *Runner) Derive(p Params) *Runner {
 // SetExplain attaches a per-query cost-attribution collector: every
 // microtask charged through this runner (and its Derived sub-phases) is
 // recorded against its (phase, pair) leaf, so the collector's tree total
-// equals QueryTMC exactly — both are fed by the same charge sites. Nil
+// equals QueryTMC exactly — both are fed by the same charge site. Nil
 // detaches. Call before the query starts executing.
 func (r *Runner) SetExplain(c *explain.Collector) { r.acct.explain = c }
 
@@ -584,99 +585,85 @@ func (r *Runner) Tick(n int) {
 	r.acct.rounds.Add(int64(n))
 }
 
-// DrawOne purchases a single microtask for (i, j), attributing its cost
-// to this runner's query. It reports the sampled preference and whether
-// the purchase was granted (stop latch, budget sub-cap, global cap and
-// platform permitting).
-func (r *Runner) DrawOne(i, j int) (float64, bool) {
-	if r.acct.stopped.Load() {
-		return 0, false
+// charge is the runner's one purchase site: every microtask this query
+// buys — a comparison batch, a PBR draw, a graded rating (j = -1) — passes
+// here. A stopped query is declined outright; otherwise up to n
+// microtasks are reserved against the budget sub-cap (a dry sub-cap stops
+// the query with ErrBudgetExhausted), buy makes the engine purchase of
+// the granted count and reports how many were delivered, and exactly that
+// count is booked to the query's TMC meter and explain leaf. Reservations
+// the engine did not honor (global cap, platform shortfall) are refunded
+// to the sub-cap, so the sub-cap — like TMC itself — counts only
+// delivered answers. The engine reports the delivered count per call,
+// because a view diff would misattribute cost when another query buys
+// the same pair concurrently. It returns the delivered count.
+func (r *Runner) charge(i, j, n int, buy func(granted int) int) int {
+	a := r.acct
+	if a.stopped.Load() {
+		return 0
 	}
-	if r.acct.reserve(1) == 0 {
-		r.Stop(ErrBudgetExhausted)
-		return 0, false
-	}
-	v, ok := r.eng.DrawOne(i, j)
-	if !ok {
-		r.acct.refund(1)
-		if c := r.acct.explain; c != nil {
-			c.Refund(r.Phase(), i, j, 1)
-		}
-		return v, false
-	}
-	r.acct.tmc.Add(1)
-	if c := r.acct.explain; c != nil {
-		c.Charge(r.Phase(), i, j, 1)
-	}
-	return v, true
-}
-
-// draw purchases a batch for (i, j) and attributes exactly the charged
-// count to this query — the engine reports it per call, because a view
-// diff would misattribute cost when another query draws the same pair
-// concurrently. A stopped query is declined outright; a query whose
-// budget sub-cap runs dry gets the remainder, then stops with
-// ErrBudgetExhausted on its next request. Reservations the engine did
-// not honor (global cap, platform shortfall) are refunded to the
-// sub-cap, so the sub-cap — like TMC itself — counts only delivered
-// answers.
-func (r *Runner) draw(i, j, n int) crowd.BagView {
-	if r.acct.stopped.Load() {
-		return r.eng.View(i, j)
-	}
-	granted := r.acct.reserve(n)
+	granted := a.reserve(n)
 	if granted == 0 {
 		if n > 0 {
 			r.Stop(ErrBudgetExhausted)
 		}
-		return r.eng.View(i, j)
+		return 0
 	}
-	v, charged := r.eng.DrawN(i, j, granted)
-	if charged != granted {
-		r.acct.refund(granted - charged)
-		if c := r.acct.explain; c != nil {
-			c.Refund(r.Phase(), i, j, int64(granted-charged))
-		}
+	charged := buy(granted)
+	a.refund(granted - charged)
+	a.tmc.Add(int64(charged))
+	if c := a.explain; c != nil {
+		phase := r.Phase()
+		c.Refund(phase, i, j, int64(granted-charged))
+		c.Charge(phase, i, j, int64(charged))
 	}
-	if charged != 0 {
-		r.acct.tmc.Add(int64(charged))
-		if c := r.acct.explain; c != nil {
-			c.Charge(r.Phase(), i, j, int64(charged))
-		}
+	return charged
+}
+
+// DrawOne purchases a single microtask for (i, j), attributing its cost
+// to this runner's query. It reports the sampled preference and whether
+// the purchase was granted (stop latch, budget sub-cap, global cap and
+// platform permitting).
+func (r *Runner) DrawOne(i, j int) (x float64, ok bool) {
+	r.charge(i, j, 1, func(int) int {
+		x, ok = r.eng.DrawOne(i, j)
+		return delivered(ok)
+	})
+	return x, ok
+}
+
+// delivered counts a single-microtask purchase: 1 when it was granted.
+func delivered(ok bool) int {
+	if ok {
+		return 1
 	}
-	return v
+	return 0
 }
 
 // Draw purchases a batch of up to n preference microtasks for (i, j),
-// attributing the charged cost to this runner's query. It is the
-// budget-driven purchase path of algorithms that spend fixed workloads
-// instead of running confidence-aware comparison processes (HYBRID).
-func (r *Runner) Draw(i, j, n int) crowd.BagView { return r.draw(i, j, n) }
+// attributing the charged cost to this runner's query, and returns the
+// pair's view. It is the budget-driven purchase path of algorithms that
+// spend fixed workloads instead of running confidence-aware comparison
+// processes (HYBRID).
+func (r *Runner) Draw(i, j, n int) crowd.BagView {
+	v := r.eng.View(i, j)
+	r.charge(i, j, n, func(g int) int {
+		var charged int
+		v, charged = r.eng.DrawN(i, j, g)
+		return charged
+	})
+	return v
+}
 
 // Grade purchases one graded (absolute rating) microtask for item i,
 // attributing its cost to this runner's query. It reports the rating and
 // whether the purchase was granted.
-func (r *Runner) Grade(i int) (float64, bool) {
-	if r.acct.stopped.Load() {
-		return 0, false
-	}
-	if r.acct.reserve(1) == 0 {
-		r.Stop(ErrBudgetExhausted)
-		return 0, false
-	}
-	v, ok := r.eng.Grade(i)
-	if !ok {
-		r.acct.refund(1)
-		if c := r.acct.explain; c != nil {
-			c.Refund(r.Phase(), i, -1, 1)
-		}
-		return v, false
-	}
-	r.acct.tmc.Add(1)
-	if c := r.acct.explain; c != nil {
-		c.ChargeGraded(r.Phase(), i)
-	}
-	return v, true
+func (r *Runner) Grade(i int) (x float64, ok bool) {
+	r.charge(i, -1, 1, func(int) int {
+		x, ok = r.eng.Grade(i)
+		return delivered(ok)
+	})
+	return x, ok
 }
 
 // QueryTMC returns the microtasks charged through this runner (this
@@ -692,22 +679,32 @@ func (r *Runner) QueryRounds() int64 { return r.acct.rounds.Load() }
 // run queries concurrently.
 func (r *Runner) Rand() *crowd.ControlRand { return r.eng.Control() }
 
-// execStep runs one blocking comparison step. While the query has a
-// scheduler handle open, the step is routed through the pool so
+// execStep runs one blocking comparison step of Compare. While the query
+// has a scheduler handle open, the step is routed through the pool so
 // sequential Compare calls share fairly with other queries and count
-// toward pool utilization; otherwise it runs directly. Only the query's
-// control goroutine may reach here (never a pool task — tasks must not
-// submit), and never with chain completions outstanding.
-func (r *Runner) execStep(fn func()) {
+// toward pool utilization; otherwise it runs directly. A stopped query's
+// scheduler delivers the step without running it; it then runs inline,
+// as the drivers do — on a stopped runner it buys nothing and finishes.
+// Only the query's control goroutine may reach here (never a pool task —
+// tasks must not submit), and never with chain completions outstanding.
+func (r *Runner) execStep(i, j int, st *compState) (Outcome, bool, int) {
 	q := r.acct.handle()
 	if q == nil {
-		fn()
-		return
+		return r.step(i, j, st)
 	}
-	q.Submit(sched.Task{Tag: -1, Run: fn})
+	res := struct {
+		o      Outcome
+		done   bool
+		rounds int
+	}{rounds: -1}
+	q.Submit(sched.Task{Tag: -1, Run: func() { res.o, res.done, res.rounds = r.step(i, j, st) }})
 	if tag := q.Next(); tag != -1 {
 		panic("compare: execStep consumed a foreign completion; Compare must not run with chain tasks in flight")
 	}
+	if res.rounds < 0 {
+		return r.step(i, j, st)
+	}
+	return res.o, res.done, res.rounds
 }
 
 // Engine returns the underlying crowd engine.
@@ -789,6 +786,25 @@ func (r *Runner) Concluded(i, j int) (Outcome, bool) {
 	return o, true
 }
 
+// Reuse answers (i, j) for free when a conclusion is at hand — memoized
+// by this query or an earlier one, or served from the judgment store —
+// and counts the hit in metrics and the explain tree. It is the one place
+// free answers are counted: Compare, Advance and the plan driver's
+// admission of ready matches all go through it.
+func (r *Runner) Reuse(i, j int) (Outcome, bool) {
+	o, ok := r.Concluded(i, j)
+	if !ok {
+		return o, false
+	}
+	if ins := r.ins; ins != nil {
+		ins.MemoHits.Inc()
+	}
+	if c := r.acct.explain; c != nil {
+		c.MemoHit(r.Phase(), i, j)
+	}
+	return o, true
+}
+
 // remember memoizes a conclusion. The first writer wins: a concluded
 // outcome never changes afterwards, so concurrent readers always observe
 // a stable verdict.
@@ -817,155 +833,123 @@ func (r *Runner) budgetLeft(n int) int {
 }
 
 // Compare runs the full comparison process COMP(o_i, o_j) sequentially:
-// it keeps purchasing policy-chosen batches until the policy concludes or
-// declines to buy, advancing the latency clock by one round per batch.
-// Concluded pairs are memoized; calling Compare again costs nothing.
+// it takes comparison steps until the process finishes, advancing the
+// latency clock by the rounds each step's purchase used. Concluded pairs
+// are memoized; calling Compare again costs nothing.
 func (r *Runner) Compare(i, j int) Outcome {
-	if o, ok := r.Concluded(i, j); ok {
-		r.memoHit(i, j)
+	if o, ok := r.Reuse(i, j); ok {
 		return o
 	}
 	var st *compState
 	if r.instrumented() {
 		st = r.beginComp(i, j)
 	}
-	v := r.eng.View(i, j)
-	verify := r.takeVerify(i, j)
 	for {
-		if need := r.policy.Bootstrap(v); need > 0 {
-			// Cold start: the policy's bootstrap workload arrives Step at a
-			// time, so the granted samples cost ceil(granted/Step) batch
-			// rounds (Step stays the latency constant η even when the
-			// policy sizes purchases itself). Rounds are counted from what
-			// the engine actually granted: a spending cap may truncate the
-			// draw, and the ungranted remainder never occupied a round
-			// (nor must it be re-counted if the loop re-enters this
-			// branch). A stale store prior that only partly covers the
-			// cold start is verified here — the purchase is the reduced
-			// batch.
-			verify = false
-			before := v.N
-			r.execStep(func() { v = r.draw(i, j, need) })
-			granted := v.N - before
-			if granted == 0 {
-				// A global spending cap ran dry: best-effort tie, not
-				// memoized — the pair itself is not statistically spent.
-				r.finishComp(st, v, Tie, false)
-				return Tie
-			}
-			rounds := (granted + r.params.Step - 1) / r.params.Step
+		o, done, rounds := r.execStep(i, j, st)
+		if rounds > 0 {
 			r.Tick(rounds)
-			r.observeRound(st, v, rounds)
-		} else if verify {
-			// A stale store prior already covers the whole cold start: buy
-			// one reduced verification batch before trusting the stopping
-			// rule on decayed evidence alone.
-			verify = false
-			if n := r.policy.Next(v, r.budgetLeft(v.N)); n > 0 {
-				before := v.N
-				r.execStep(func() { v = r.draw(i, j, n) })
-				if v.N == before {
-					r.finishComp(st, v, Tie, false)
-					return Tie
-				}
-				r.Tick(1)
-				r.observeRound(st, v, 1)
-			}
 		}
-		if o := r.policy.Test(v); o != Tie {
-			r.remember(i, j, o)
-			r.noteConclusion(i, j, o, false)
-			r.finishComp(st, v, o, true)
+		if done {
 			return o
 		}
-		n := r.policy.Next(v, r.budgetLeft(v.N))
-		if n <= 0 {
-			// The policy declines to buy: the budget ran dry, or an
-			// adaptive policy judged the verdict unreachable within it.
-			// Either way the pair concludes as a protocol-level tie.
-			r.remember(i, j, Tie)
-			r.noteConclusion(i, j, Tie, true)
-			r.finishComp(st, v, Tie, true)
-			return Tie
-		}
-		before := v.N
-		r.execStep(func() { v = r.draw(i, j, n) })
-		if v.N == before {
-			// Spending cap exhausted mid-comparison: no round ran.
-			r.finishComp(st, v, Tie, false)
-			return Tie
-		}
-		r.Tick(1)
-		r.observeRound(st, v, 1)
 	}
 }
 
-// Advance performs one batch step of the comparison process for (i, j)
-// without touching the latency clock: the first call purchases the
-// policy's bootstrap workload (Algorithm 4's β ← I under the fixed
-// schedule), subsequent calls one policy-sized batch. It returns the
-// current outcome and whether the process is finished (concluded, budget
-// exhausted, or the policy declined to keep buying). Callers running many
-// pairs in parallel Tick the engine once per wave.
+// Advance takes one step of the comparison process for (i, j) without
+// touching the latency clock — the same step Compare loops over. It
+// returns the current outcome and whether the process is finished
+// (concluded, budget exhausted, the policy declined to keep buying, or a
+// purchase was declined). Callers running many pairs in parallel Tick the
+// engine once per wave.
 func (r *Runner) Advance(i, j int) (Outcome, bool) {
-	if o, ok := r.Concluded(i, j); ok {
-		r.memoHit(i, j)
+	if o, ok := r.Reuse(i, j); ok {
 		return o, true
 	}
 	var st *compState
 	if r.instrumented() {
 		st = r.compStateOf(i, j)
 	}
+	o, done, _ := r.step(i, j, st)
+	if done && st != nil {
+		r.dropCompState(i, j)
+	}
+	return o, done
+}
+
+// step takes one step of the comparison process COMP(o_i, o_j); it is the
+// only code that tests or buys for a comparison. It applies the stopping
+// rule to the evidence already bought first, unless a cold-start workload
+// or a stale store prior's verification batch is still owed. A pair it
+// leaves undecided gets one purchase — the policy's bootstrap remainder,
+// or one policy-sized batch — and is tested again, so a verdict lands in
+// the round of the batch that earned it. A step that is not finished has
+// always bought at least one sample.
+//
+// rounds is the latency the purchase used: the bootstrap arrives Step at
+// a time, so ceil(granted/Step) for a cold start (Step stays the latency
+// constant η even when the policy sizes purchases itself), 1 for a later
+// batch, 0 when nothing was bought. A purchase declined by a spending
+// cap, the budget sub-cap or the stop latch finishes the process as a
+// best-effort Tie that is not memoized: the pair itself is not
+// statistically spent.
+func (r *Runner) step(i, j int, st *compState) (o Outcome, done bool, rounds int) {
 	v := r.eng.View(i, j)
-	// A stale store prior reaches here with its cold start (partly)
-	// covered; the purchase below — the bootstrap remainder or one batch,
-	// both reduced against a cold pair's full workload — is its
-	// verification batch.
-	r.takeVerify(i, j)
+	verify := r.takeVerify(i, j)
 	n := r.policy.Bootstrap(v)
-	if n <= 0 {
+	boot := n > 0
+	if !boot && verify {
+		// A stale store prior already covers the whole cold start: buy one
+		// reduced verification batch before trusting the stopping rule on
+		// decayed evidence alone — if the policy buys at all.
 		n = r.policy.Next(v, r.budgetLeft(v.N))
+		verify = n > 0
 	}
-	if left := r.budgetLeft(v.N); n > left {
-		n = left
-	}
-	if n > 0 {
-		before := v.N
-		v = r.draw(i, j, n)
-		if v.N == before {
-			// Global spending cap exhausted: report the pair finished
-			// (best effort) without memoizing a statistical conclusion.
-			o := r.policy.Test(v)
-			if st != nil {
-				r.finishComp(st, v, o, false)
-				r.dropCompState(i, j)
-			}
-			return o, true
+	if !boot && !verify {
+		if o, n = r.settle(i, j, st, v); n == 0 {
+			return o, true, 0
 		}
-		r.observeRound(st, v, 1)
 	}
-	if o := r.policy.Test(v); o != Tie {
-		r.remember(i, j, o)
-		r.noteConclusion(i, j, o, false)
-		if st != nil {
-			r.finishComp(st, v, o, true)
-			r.dropCompState(i, j)
+	charged := r.charge(i, j, n, func(g int) int {
+		var c int
+		v, c = r.eng.DrawN(i, j, g)
+		return c
+	})
+	if charged == 0 {
+		r.finishComp(st, v, Tie, false)
+		return Tie, true, 0
+	}
+	rounds = 1
+	if boot {
+		rounds = (charged + r.params.Step - 1) / r.params.Step
+	}
+	r.observeRound(st, v, rounds)
+	if !boot && r.policy.Bootstrap(v) > 0 {
+		// A batch after a short cold start left the bootstrap still owed:
+		// the next step buys the rest before testing.
+		return Tie, false, rounds
+	}
+	o, n = r.settle(i, j, st, v)
+	return o, n == 0, rounds
+}
+
+// settle applies the policy's stopping rule to v. A decisive test
+// concludes the pair; so does a declined next purchase — the budget ran
+// dry, or an adaptive policy judged the verdict unreachable within it —
+// as a protocol-level tie. Both are memoized. An undecided pair returns
+// Tie with the size of its next batch, which is then always positive; a
+// concluded pair returns 0.
+func (r *Runner) settle(i, j int, st *compState, v crowd.BagView) (Outcome, int) {
+	o := r.policy.Test(v)
+	n := 0
+	if o == Tie {
+		if n = r.policy.Next(v, r.budgetLeft(v.N)); n > 0 {
+			return Tie, n
 		}
-		return o, true
 	}
-	if r.policy.Next(v, r.budgetLeft(v.N)) <= 0 {
-		// No further purchase is coming — the budget ran dry, or an
-		// adaptive policy judged the verdict unreachable within it: the
-		// pair concludes as a protocol-level tie.
-		r.remember(i, j, Tie)
-		r.noteConclusion(i, j, Tie, true)
-		if st != nil {
-			r.finishComp(st, v, Tie, true)
-			r.dropCompState(i, j)
-		}
-		return Tie, true
-	}
-	return Tie, false
+	r.remember(i, j, o)
+	r.noteConclusion(i, j, o, o == Tie)
+	r.finishComp(st, v, o, true)
+	return o, 0
 }
 
 // TestOnly applies the policy to the samples already purchased for (i, j)

@@ -145,8 +145,11 @@ func (r *Runner) StoreStats() StoreStats {
 // and returns it; the pair's bag was seeded with the exact stored
 // posterior, so every later mean/leaning read observes what a cold run
 // would have produced. On a stale hit it seeds the decayed posterior as
-// a prior, latches one verification purchase, and reports no conclusion.
-// Each pair is looked up and seeded at most once per session.
+// a prior, latches one verification purchase (the pair's next comparison
+// step buys it before testing), and reports no conclusion. Each pair is
+// looked up and seeded at most once per session. A served hit is counted
+// here as a store hit; Reuse, through which every comparison asks, also
+// counts it as a memo hit.
 func (r *Runner) storeServe(k [2]int) (Outcome, bool) {
 	js := r.js
 	st := &js.seen[stripeOf(k)]
@@ -167,9 +170,10 @@ func (r *Runner) storeServe(k [2]int) (Outcome, bool) {
 		// The hit was latched by a consumer that trusted the committing
 		// policy; this runner is pinned to a different one. The pair's bag
 		// was already seeded with the record's full posterior, so declining
-		// to serve the verdict makes the comparison re-run this policy's
-		// stopping rule over that evidence — the per-reader mirror of the
-		// consult-time cross-policy downgrade.
+		// to serve the verdict makes the comparison's first step re-run
+		// this policy's stopping rule over that evidence before buying
+		// anything — the per-reader mirror of the consult-time
+		// cross-policy downgrade.
 		return Tie, false
 	}
 	// Serve the latched verdict into this runner's memo: a fork shares

@@ -21,11 +21,17 @@ const numShards = 64
 // (lo, hi) orientation. There is a single writer per pair — whoever holds
 // mu — so publication is a plain pointer store; readers load the pointer
 // and never touch the mutex. Snapshots are immutable once published.
+//
+// holds and held implement HoldLog: while holds > 0 the pair's audit
+// records wait in held until ReleaseLog commits them. Both are guarded
+// by mu.
 type pairState struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	bag  bag
-	view atomic.Pointer[BagView]
+	mu    sync.Mutex
+	rng   *rand.Rand
+	bag   bag
+	view  atomic.Pointer[BagView]
+	holds int
+	held  []Record
 }
 
 // publishLocked snapshots the bag in canonical orientation and publishes
@@ -305,16 +311,25 @@ func (e *Engine) reserve(n int) int {
 	}
 }
 
-// flushLog appends one pair's batch of samples to the audit log under a
-// single logMu acquisition — the per-sample lock round trip the scalar
-// path used to pay is gone. Per-pair record order is preserved because
-// callers still hold the pair mutex, which serializes batches of one pair.
-func (e *Engine) flushLog(k pairKey, vs []float64) {
+// logSamples appends one purchase's records — a pair's batch, or one
+// graded item (j = -1, ps = nil) — to the audit log and streams them to
+// the sink, under a single logMu acquisition. It is the engine's only log
+// append. Callers hold the pair mutex (or gradeMu), which serializes the
+// purchases of one pair, so per-pair record order is purchase order.
+// While the pair is held (HoldLog) its records wait in the pair state and
+// reach the log at the fan-out's barrier instead.
+func (e *Engine) logSamples(ps *pairState, i, j int, vs []float64) {
 	round := e.rounds.Load()
+	if ps != nil && ps.holds > 0 {
+		for _, v := range vs {
+			ps.held = append(ps.held, Record{Round: round, I: i, J: j, Value: v})
+		}
+		return
+	}
 	e.logMu.Lock()
 	n0 := len(e.log)
 	for _, v := range vs {
-		e.log = append(e.log, Record{Round: round, I: k.lo, J: k.hi, Value: v})
+		e.log = append(e.log, Record{Round: round, I: i, J: j, Value: v})
 	}
 	if e.sink != nil {
 		e.sink.Record(e.log[n0:])
@@ -322,14 +337,47 @@ func (e *Engine) flushLog(k pairKey, vs []float64) {
 	e.logMu.Unlock()
 }
 
-// appendLog records one microtask if logging is enabled.
-func (e *Engine) appendLog(r Record) {
-	e.logMu.Lock()
-	e.log = append(e.log, r)
-	if e.sink != nil {
-		e.sink.Record(e.log[len(e.log)-1:])
+// HoldLog starts holding pair (i, j)'s audit records: purchases of the
+// pair keep landing in its bag and meters, but their records wait until
+// ReleaseLog. A parallel fan-out holds every pair it is about to run and
+// releases them in its own pair order at the barrier, so the log's order
+// is a function of the fan-out, never of which worker finished first.
+// Holds nest; a no-op while logging is off.
+func (e *Engine) HoldLog(i, j int) {
+	if !e.logging.Load() {
+		return
 	}
-	e.logMu.Unlock()
+	ps := e.pair(keyOf(i, j))
+	ps.mu.Lock()
+	ps.holds++
+	ps.mu.Unlock()
+}
+
+// ReleaseLog ends one HoldLog on pair (i, j) and commits the records held
+// for it to the log and the sink, in purchase order.
+func (e *Engine) ReleaseLog(i, j int) {
+	if !e.logging.Load() {
+		return
+	}
+	ps := e.lookup(keyOf(i, j))
+	if ps == nil {
+		return
+	}
+	ps.mu.Lock()
+	if ps.holds > 0 {
+		ps.holds--
+	}
+	if len(ps.held) > 0 {
+		e.logMu.Lock()
+		n0 := len(e.log)
+		e.log = append(e.log, ps.held...)
+		if e.sink != nil {
+			e.sink.Record(e.log[n0:])
+		}
+		e.logMu.Unlock()
+		ps.held = nil
+	}
+	ps.mu.Unlock()
 }
 
 // Draw purchases up to n more preference microtasks for the pair (i, j) —
@@ -356,155 +404,116 @@ func (e *Engine) appendLog(r Record) {
 // mode — this and every later Draw grant nothing more, so TMC always
 // equals the answers accepted into bags, even mid-failure.
 func (e *Engine) Draw(i, j, n int) BagView {
-	v, _ := e.DrawN(i, j, n)
+	v, _, _ := e.draw(i, j, n)
 	return v
 }
 
 // DrawN purchases like Draw and additionally returns the number of
 // microtasks delivered and charged by this call. See Draw.
 func (e *Engine) DrawN(i, j, n int) (BagView, int) {
+	v, charged, _ := e.draw(i, j, n)
+	return v, charged
+}
+
+// DrawOne purchases a single preference microtask for the pair (i, j) and
+// returns the sampled value oriented toward i (positive favors i). It is
+// Draw at n = 1: it costs one unit of TMC and records the sample in the
+// pair's bag. The second result is false — and nothing is purchased — when
+// a spending cap is exhausted or the engine has degraded after a platform
+// failure.
+func (e *Engine) DrawOne(i, j int) (float64, bool) {
+	_, charged, last := e.draw(i, j, 1)
+	return last, charged == 1
+}
+
+// draw is the engine's purchase kernel behind Draw, DrawN and DrawOne. It
+// returns the pair's view oriented toward i, the delivered count, and the
+// last delivered sample oriented toward i (0 when nothing was delivered).
+func (e *Engine) draw(i, j, n int) (BagView, int, float64) {
 	if i == j {
-		panic(fmt.Sprintf("crowd: DrawN on identical items %d", i))
+		panic(fmt.Sprintf("crowd: draw on identical items %d", i))
 	}
 	if n < 0 {
-		panic(fmt.Sprintf("crowd: DrawN with negative count %d", n))
+		panic(fmt.Sprintf("crowd: draw with negative count %d", n))
 	}
 	k := keyOf(i, j)
+	flip := i != k.lo
 	ps := e.pair(k)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if e.failed.Load() {
-		return ps.bag.view(i != k.lo), 0
+		return ps.bag.view(flip), 0, 0
 	}
 	req := n
 	n = e.reserve(n)
 	if ins := e.ins; ins != nil && n < req {
 		ins.CapDenied.Add(int64(req - n))
 	}
-	charged := 0
-	if n > 0 {
-		bufp := drawBufPool.Get().(*[]float64)
-		buf := *bufp
-		if cap(buf) < n {
-			buf = make([]float64, n)
-		}
-		buf = buf[:n]
-		filled := n
-		switch {
-		case e.fallible != nil:
-			var err error
-			filled, err = e.fallible.PreferencesPartial(ps.rng, k.lo, k.hi, buf)
-			if filled < 0 {
-				filled = 0
-			} else if filled > n {
-				filled = n
-			}
-			if err != nil {
-				e.fail(err)
-			}
-		case e.batch != nil:
-			e.batch.Preferences(ps.rng, k.lo, k.hi, buf)
-		default:
-			o := e.oracle
-			for t := range buf {
-				buf[t] = o.Preference(ps.rng, k.lo, k.hi)
-			}
-		}
-		if filled < n {
-			// Refund the reservation for answers that never arrived: TMC
-			// charges only what was delivered and accepted.
-			e.tmc.Add(int64(filled - n))
-		}
-		buf = buf[:filled]
-		for _, v := range buf {
-			if v < -1 || v > 1 {
-				panic(fmt.Sprintf("crowd: oracle returned preference %v outside [-1,1] for pair (%d,%d)", v, k.lo, k.hi))
-			}
-		}
-		if filled > 0 {
-			ps.bag.addAll(buf)
-			if e.logging.Load() {
-				e.flushLog(k, buf)
-			}
-			e.pairCmp.Add(int64(filled))
-			ps.publishLocked()
-		}
-		if ins := e.ins; ins != nil {
-			ins.Batches.Inc()
-			ins.Samples.Add(int64(filled))
-			ins.TMC.Add(int64(filled))
-			if filled < n {
-				ins.Refunds.Add(int64(n - filled))
-			}
-			ins.BagSize.Observe(int64(ps.bag.pref.N()))
-		}
-		*bufp = buf[:0]
-		drawBufPool.Put(bufp)
-		charged = filled
+	if n == 0 {
+		return ps.bag.view(flip), 0, 0
 	}
-	return ps.bag.view(i != k.lo), charged
-}
-
-// DrawOne purchases a single preference microtask for the pair (i, j) and
-// returns the sampled value oriented toward i (positive favors i). Like
-// Draw it costs one unit of TMC and records the sample in the pair's bag.
-// The second result is false — and nothing is purchased — when a spending
-// cap is exhausted or the engine has degraded after a platform failure.
-func (e *Engine) DrawOne(i, j int) (float64, bool) {
-	if i == j {
-		panic(fmt.Sprintf("crowd: DrawOne on identical items %d", i))
+	bufp := drawBufPool.Get().(*[]float64)
+	buf := *bufp
+	if cap(buf) < n {
+		buf = make([]float64, n)
 	}
-	k := keyOf(i, j)
-	ps := e.pair(k)
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if e.failed.Load() {
-		return 0, false
-	}
-	if e.reserve(1) == 0 {
-		if ins := e.ins; ins != nil {
-			ins.CapDenied.Inc()
+	buf = buf[:n]
+	filled := n
+	switch {
+	case e.fallible != nil:
+		var err error
+		filled, err = e.fallible.PreferencesPartial(ps.rng, k.lo, k.hi, buf)
+		if filled < 0 {
+			filled = 0
+		} else if filled > n {
+			filled = n
 		}
-		return 0, false
-	}
-	var v float64
-	if e.fallible != nil {
-		var one [1]float64
-		filled, err := e.fallible.PreferencesPartial(ps.rng, k.lo, k.hi, one[:])
 		if err != nil {
 			e.fail(err)
 		}
-		if filled <= 0 {
-			e.tmc.Add(-1) // nothing delivered, nothing charged
-			if ins := e.ins; ins != nil {
-				ins.Batches.Inc()
-				ins.Refunds.Inc()
-			}
-			return 0, false
+	case e.batch != nil:
+		e.batch.Preferences(ps.rng, k.lo, k.hi, buf)
+	default:
+		o := e.oracle
+		for t := range buf {
+			buf[t] = o.Preference(ps.rng, k.lo, k.hi)
 		}
-		v = one[0]
-	} else {
-		v = e.oracle.Preference(ps.rng, k.lo, k.hi)
 	}
-	if v < -1 || v > 1 {
-		panic(fmt.Sprintf("crowd: oracle returned preference %v outside [-1,1] for pair (%d,%d)", v, k.lo, k.hi))
+	if filled < n {
+		// Refund the reservation for answers that never arrived: TMC
+		// charges only what was delivered and accepted.
+		e.tmc.Add(int64(filled - n))
 	}
-	ps.bag.add(v)
-	if e.logging.Load() {
-		e.appendLog(Record{Round: e.rounds.Load(), I: k.lo, J: k.hi, Value: v})
+	buf = buf[:filled]
+	for _, v := range buf {
+		if v < -1 || v > 1 {
+			panic(fmt.Sprintf("crowd: oracle returned preference %v outside [-1,1] for pair (%d,%d)", v, k.lo, k.hi))
+		}
 	}
-	e.pairCmp.Add(1)
-	ps.publishLocked()
+	var last float64
+	if filled > 0 {
+		ps.bag.addAll(buf)
+		if e.logging.Load() {
+			e.logSamples(ps, k.lo, k.hi, buf)
+		}
+		e.pairCmp.Add(int64(filled))
+		ps.publishLocked()
+		if last = buf[filled-1]; flip {
+			last = -last
+		}
+	}
 	if ins := e.ins; ins != nil {
 		ins.Batches.Inc()
-		ins.Samples.Inc()
-		ins.TMC.Inc()
+		ins.Samples.Add(int64(filled))
+		ins.TMC.Add(int64(filled))
+		if filled < n {
+			ins.Refunds.Add(int64(n - filled))
+		}
 		ins.BagSize.Observe(int64(ps.bag.pref.N()))
 	}
-	if i != k.lo {
-		return -v, true
-	}
-	return v, true
+	*bufp = buf[:0]
+	drawBufPool.Put(bufp)
+	return ps.bag.view(flip), filled, last
 }
 
 // View returns the current bag view for pair (i, j) oriented toward i,
@@ -612,7 +621,8 @@ func (e *Engine) Grade(i int) (float64, bool) {
 	v := g.Grade(rng, i)
 	e.graded.Add(1)
 	if e.logging.Load() {
-		e.appendLog(Record{Round: e.rounds.Load(), I: i, J: -1, Value: v})
+		one := [1]float64{v}
+		e.logSamples(nil, i, -1, one[:])
 	}
 	if ins := e.ins; ins != nil {
 		ins.Graded.Inc()

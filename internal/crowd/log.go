@@ -40,7 +40,10 @@ func (e *Engine) EnableLog() { e.logging.Store(true) }
 // of the call — implementations that retain records must copy. Calls are
 // serialized by the engine (made under its log mutex), so a sink needs
 // no locking of its own against the engine, and records of one pair
-// always arrive in purchase order. A slow sink applies backpressure to
+// always arrive in purchase order. Records bought inside a parallel
+// fan-out (a deterministic comparison wave, a PBR draw wave) are held
+// per pair and reach the sink at the fan-out's barrier, pair by pair in
+// the fan-out's order (Engine.HoldLog). A slow sink applies backpressure to
 // the purchase path; persistent sinks should buffer (see
 // internal/auditlog, whose Log blocks only when its bounded commit
 // queue is full).
@@ -62,9 +65,11 @@ func (e *Engine) SetLogSink(sink RecordSink) {
 
 // Log returns the recorded microtasks in purchase order. The slice is
 // shared; callers must not modify it, and must not call Log while
-// purchases are in flight. Under parallel comparison waves the order of
-// records from different pairs follows the actual interleaving; records of
-// one pair are always in purchase order, which is all replay needs.
+// purchases are in flight. Records of one pair are always in purchase
+// order, which is all replay needs. A parallel fan-out commits its
+// records at its barrier in its own pair order, so a deterministic query
+// logs identically at every Parallelism; records of concurrent queries
+// interleave as they actually ran.
 func (e *Engine) Log() []Record {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()

@@ -90,26 +90,15 @@ func (c *Collector) get(phase string, i, j int) (*leaf, *stripe) {
 	return l, s
 }
 
-// Charge attributes n delivered pairwise microtasks for (i, j) to phase.
-// No-op on a nil receiver or n <= 0.
+// Charge attributes n delivered microtasks for (i, j) to phase — a
+// pairwise comparison, or a graded rating of item i when j is -1. No-op
+// on a nil receiver or n <= 0.
 func (c *Collector) Charge(phase string, i, j int, n int64) {
 	if c == nil || n <= 0 {
 		return
 	}
 	l, s := c.get(phase, i, j)
 	l.tmc += n
-	l.draws++
-	s.mu.Unlock()
-}
-
-// ChargeGraded attributes one graded (absolute-rating) microtask for
-// item i to phase. No-op on a nil receiver.
-func (c *Collector) ChargeGraded(phase string, i int) {
-	if c == nil {
-		return
-	}
-	l, s := c.get(phase, i, -1)
-	l.tmc++
 	l.draws++
 	s.mu.Unlock()
 }

@@ -9,7 +9,7 @@ import (
 func TestNilCollectorNoops(t *testing.T) {
 	var c *Collector
 	c.Charge("select", 1, 2, 5)
-	c.ChargeGraded("rank", 3)
+	c.Charge("rank", 3, -1, 1)
 	c.Refund("select", 1, 2, 1)
 	c.MemoHit("select", 1, 2)
 	c.StoreHit("select", 1, 2)
@@ -30,7 +30,7 @@ func TestTreeAggregation(t *testing.T) {
 	c.Refund("select", 1, 2, 3)
 	c.MemoHit("rank", 1, 2)
 	c.Charge("rank", 0, 4, 7)
-	c.ChargeGraded("", 9)
+	c.Charge("", 9, -1, 1)
 	c.StoreHit("rank", 0, 4)
 	c.Conclude("rank", 0, 4, "first", 0.05, true)
 
@@ -106,7 +106,7 @@ func TestConcurrentChargesReconcile(t *testing.T) {
 					c.MemoHit(phase, i, j)
 				}
 				if n%11 == 0 {
-					c.ChargeGraded(phase, i)
+					c.Charge(phase, i, -1, 1)
 				}
 			}
 		}(w)

@@ -80,7 +80,8 @@ func drive(r *compare.Runner, p plan) {
 
 	// pump admits every ready match: self-pairs (a tie by definition —
 	// they arise when sampling with replacement yields the same max
-	// twice) and memoized pairs decide immediately at zero cost; the
+	// twice) and memoized or store-served pairs decide immediately at
+	// zero cost (counted as memo hits by Runner.Reuse); the
 	// rest attach to the pair's live chain or start a new one. Deciding
 	// can make further matches ready, so pump polls until quiescent. It
 	// returns the chains started, in creation order.
@@ -96,7 +97,7 @@ func drive(r *compare.Runner, p plan) {
 					p.decide(m.id, compare.Tie)
 					continue
 				}
-				if o, ok := r.Concluded(m.i, m.j); ok {
+				if o, ok := r.Reuse(m.i, m.j); ok {
 					p.decide(m.id, o)
 					continue
 				}
@@ -170,9 +171,12 @@ func drive(r *compare.Runner, p plan) {
 
 // driveWaves is the deterministic mode of drive: lockstep waves with a
 // drain barrier, one latency round per wave, conclusions applied in
-// chain-creation order.
+// chain-creation order. The wave's audit records are held per pair and
+// committed at the barrier in chain-creation order too, so the audit log
+// is as independent of Parallelism as the result.
 func driveWaves(r *compare.Runner, q *sched.Query, p plan, pump func() []*chain, conclude func(*chain)) {
 	ins := r.Instruments()
+	eng := r.Engine()
 	live := pump()
 	var wave int64
 	for len(live) > 0 {
@@ -185,12 +189,18 @@ func driveWaves(r *compare.Runner, q *sched.Query, p plan, pump func() []*chain,
 			waveStart = time.Now()
 		}
 		for _, c := range live {
+			eng.HoldLog(c.lo, c.hi)
+		}
+		for _, c := range live {
 			c := c
 			q.Submit(sched.Task{Tag: c.tag, Round: wave, Run: func() {
 				c.out, c.done = r.Advance(c.lo, c.hi)
 			}})
 		}
 		q.Drain(len(live))
+		for _, c := range live {
+			eng.ReleaseLog(c.lo, c.hi)
+		}
 		if ins != nil {
 			ins.WaveNs.Add(time.Since(waveStart).Nanoseconds())
 		}

@@ -62,7 +62,8 @@ func TestCompareAllParallelEquivalence(t *testing.T) {
 
 // TestAlgorithmsParallelEquivalence runs every confidence-aware algorithm
 // end to end at Parallelism 1 and 8 over two synthetic datasets and several
-// k: the full Result — answer, cost, latency — must be identical.
+// k: the full Result — answer, cost, latency — and the audit log, record
+// for record and in order, must be identical.
 func TestAlgorithmsParallelEquivalence(t *testing.T) {
 	datasets := []struct {
 		n     int
@@ -77,15 +78,33 @@ func TestAlgorithmsParallelEquivalence(t *testing.T) {
 			for _, d := range datasets {
 				for _, k := range []int{3, 8} {
 					seed := int64(600 + 10*d.n + k)
-					seq := Run(alg, runnerAt(d.n, d.noise, seed, 1), k)
-					par := Run(alg, runnerAt(d.n, d.noise, seed, 8), k)
+					r1, r8 := runnerAt(d.n, d.noise, seed, 1), runnerAt(d.n, d.noise, seed, 8)
+					r1.Engine().EnableLog()
+					r8.Engine().EnableLog()
+					seq := Run(alg, r1, k)
+					par := Run(alg, r8, k)
 					if !reflect.DeepEqual(seq, par) {
 						t.Errorf("n=%d k=%d: results diverged\n p=1: %+v\n p=8: %+v", d.n, k, seq, par)
+					}
+					if l1, l8 := r1.Engine().Log(), r8.Engine().Log(); !reflect.DeepEqual(l1, l8) {
+						t.Errorf("n=%d k=%d: audit logs diverged (%d vs %d records, first difference at %d)",
+							d.n, k, len(l1), len(l8), firstDiff(l1, l8))
 					}
 				}
 			}
 		})
 	}
+}
+
+// firstDiff returns the index of the first record where two audit logs
+// differ (the shorter length when one is a prefix of the other).
+func firstDiff(a, b []crowd.Record) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }
 
 // TestParallelAccountingInvariants runs SPR with a full worker pool and

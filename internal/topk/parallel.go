@@ -62,6 +62,13 @@ func drawAll(r *compare.Runner, reqs [][2]int) []drawResult {
 		}
 		groups[gi] = append(groups[gi], idx)
 	}
+	// Hold the wave's audit records per pair and commit them at the
+	// barrier in group order, so the log does not depend on which worker
+	// finished first.
+	eng := r.Engine()
+	for _, idxs := range groups {
+		eng.HoldLog(reqs[idxs[0]][0], reqs[idxs[0]][1])
+	}
 	for gi := range groups {
 		idxs := groups[gi]
 		q.Submit(sched.Task{Tag: int64(gi), Run: func() {
@@ -73,6 +80,9 @@ func drawAll(r *compare.Runner, reqs [][2]int) []drawResult {
 		}})
 	}
 	q.Drain(len(groups))
+	for _, idxs := range groups {
+		eng.ReleaseLog(reqs[idxs[0]][0], reqs[idxs[0]][1])
+	}
 	return res
 }
 

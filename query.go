@@ -16,7 +16,7 @@ import (
 // calls, refunds, memo/store hits, and the verdict with its
 // confidence-interval half-width at conclusion. The tree's TMC equals
 // the leaf sum equals the query's Result.TMC exactly: both meters are
-// fed by the same charge sites (the reconciliation invariant).
+// fed by the same charge site (the reconciliation invariant).
 type CostTree = explain.Tree
 
 // PhaseCost is one phase aggregate of a CostTree.

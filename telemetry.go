@@ -100,14 +100,16 @@ type QueryStats struct {
 
 	// Comparisons counts comparison processes started; Concluded those
 	// that reached a confidence-level verdict; MemoHits comparisons
-	// answered from the conclusion memo for free.
+	// answered for free — from the conclusion memo or the judgment store —
+	// by every algorithm, whether it asks through a sequential comparison
+	// or admits a pair into a plan's wave.
 	Comparisons int64 `json:"comparisons"`
 	Concluded   int64 `json:"concluded"`
 	MemoHits    int64 `json:"memo_hits"`
 
 	// Judgment-store traffic (Options.JudgmentStore): StoreHits counts
-	// comparisons answered from stored verdicts at zero TMC (they also
-	// count as MemoHits — both mean "answered for free"); StoreStale
+	// comparisons answered from stored verdicts at zero TMC (each also
+	// counts as a MemoHit — both mean "answered for free"); StoreStale
 	// records served as decayed priors and re-verified; StoreMisses
 	// consultations that found nothing usable; StoreCommits conclusions
 	// committed back. StoreSize is the store's current record count (a

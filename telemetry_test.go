@@ -232,35 +232,39 @@ func TestTraceReplayPhaseBreakdown(t *testing.T) {
 }
 
 func TestSessionIncrementalStats(t *testing.T) {
-	data := crowdtopk.SyntheticDataset(20, 0.2, 13)
-	tel := crowdtopk.NewTelemetry()
-	sess, err := crowdtopk.NewSession(data, crowdtopk.Options{
-		Budget: 200, MinWorkload: 10, BatchSize: 10, Confidence: 0.95,
-		Telemetry: tel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := sess.TopK(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := sess.TopK(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Stats == nil || res2.Stats == nil {
-		t.Fatal("session results carry no Stats")
-	}
-	if res1.Stats.TMC != res1.TMC || res2.Stats.TMC != res2.TMC {
-		t.Errorf("incremental Stats.TMC (%d, %d) disagree with Result.TMC (%d, %d)",
-			res1.Stats.TMC, res2.Stats.TMC, res1.TMC, res2.TMC)
-	}
-	if got := res1.Stats.TMC + res2.Stats.TMC; got != sess.TMC() {
-		t.Errorf("per-call stats sum to %d, session TMC = %d", got, sess.TMC())
-	}
-	// The widened re-query reuses every conclusion of the first call.
-	if res2.Stats.MemoHits == 0 {
-		t.Error("second query reports no memo hits despite full reuse")
+	for _, alg := range []crowdtopk.Algorithm{crowdtopk.SPR, crowdtopk.TourTree, crowdtopk.HeapSort, crowdtopk.QuickSelect} {
+		t.Run(string(alg), func(t *testing.T) {
+			data := crowdtopk.SyntheticDataset(20, 0.2, 13)
+			tel := crowdtopk.NewTelemetry()
+			sess, err := crowdtopk.NewSession(data, crowdtopk.Options{
+				Budget: 200, MinWorkload: 10, BatchSize: 10, Confidence: 0.95,
+				Algorithm: alg, Telemetry: tel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res1, err := sess.TopK(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res2, err := sess.TopK(5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res1.Stats == nil || res2.Stats == nil {
+				t.Fatal("session results carry no Stats")
+			}
+			if res1.Stats.TMC != res1.TMC || res2.Stats.TMC != res2.TMC {
+				t.Errorf("incremental Stats.TMC (%d, %d) disagree with Result.TMC (%d, %d)",
+					res1.Stats.TMC, res2.Stats.TMC, res1.TMC, res2.TMC)
+			}
+			if got := res1.Stats.TMC + res2.Stats.TMC; got != sess.TMC() {
+				t.Errorf("per-call stats sum to %d, session TMC = %d", got, sess.TMC())
+			}
+			// The widened re-query reuses every conclusion of the first call.
+			if res2.Stats.MemoHits == 0 {
+				t.Error("second query reports no memo hits despite full reuse")
+			}
+		})
 	}
 }
