@@ -25,13 +25,16 @@ vet:
 # The deterministic-mode contracts at several GOMAXPROCS values, repeated:
 # result and audit-log identity across Parallelism for the root, topk and
 # compare layers, and the step loop's byte identity with the frozen
-# pre-refactor comparison loop.
+# pre-refactor comparison loop. Then the whole topk and compare suites
+# once at each GOMAXPROCS value; the root package stays on its listed
+# subtests until its async answer set is invariant too.
 DETERMINISM = -cpu 1,2,8 -count 3
 determinism:
 	$(GO) test . $(DETERMINISM) -run 'TestPolicyLayerCrossLayerEquivalence/.*/deterministic'
 	$(GO) test . $(DETERMINISM) -run 'TestQueryParallelismEquivalence|TestSessionParallelismEquivalence'
 	$(GO) test ./internal/topk/ $(DETERMINISM) -run 'TestAlgorithmsParallelEquivalence|TestCompareAllParallelEquivalence'
 	$(GO) test ./internal/compare/ $(DETERMINISM) -run 'TestConcurrentAdvanceMatchesSequential|TestRunnerMatchesLegacyReferenceLoop'
+	$(GO) test ./internal/topk/ ./internal/compare/ -cpu 1,2,8 -count 1
 
 # Wall-clock impact of the comparison-wave worker pool, plus the existing
 # algorithm cost benchmarks.

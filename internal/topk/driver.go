@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"slices"
 	"time"
 
 	"crowdtopk/internal/compare"
@@ -23,13 +24,23 @@ type match struct {
 // conclusions verbatim (memoized verdicts, definitional self-pair ties,
 // and budget-exhausted ties included).
 //
-// One driver executes every plan in both scheduling modes, so the wave
-// bookkeeping that used to be copied across the tournament, sorting,
-// merging and flat-batch loops lives in exactly one place.
+// stale reports whether an undecided match has stopped mattering (a
+// partition race against a reference that has since been upgraded). The
+// driver asks before every submission of a chain; a true answer is final —
+// the driver detaches the match and never decides it, so the plan
+// re-issues whatever it still needs. Plans whose matches never go stale
+// embed fresh.
 type plan interface {
 	ready() []match
 	decide(id int64, o compare.Outcome)
+	stale(id int64) bool
 }
+
+// fresh is the stale method of plans whose matches stay relevant until
+// decided.
+type fresh struct{}
+
+func (fresh) stale(int64) bool { return false }
 
 // chain is one live comparison process: a canonical pair being advanced
 // batch by batch, plus every match waiting on its verdict (duplicate
@@ -42,46 +53,43 @@ type chain struct {
 	waiters []match
 	out     compare.Outcome
 	done    bool
+	step    func() // one comparison step, built once and resubmitted
 }
 
-// drive runs a plan to completion on the runner's shared scheduler.
+// drive runs a plan to completion on the runner's shared scheduler; it is
+// the package's only loop over comparison chains. Each pass submits the
+// live chains, waits at a barrier, applies the barrier's conclusions in
+// chain-creation order, and admits what the plan makes ready next.
 //
-// In deterministic mode (the default) it advances all live chains in
-// lockstep waves: every chain gets one batch, the drain is the wave
-// barrier of §5.5, the clock ticks once per wave, and conclusions apply
-// in chain-creation order on the control goroutine — so the result is
-// byte-identical for any Parallelism at a fixed seed.
+// In deterministic mode (the default) the barrier is the wave of §5.5:
+// the drain, after which the wave's held audit records commit in
+// chain-creation order and the clock ticks once — so the result and the
+// audit log are byte-identical for any Parallelism at a fixed seed. In
+// async mode the barrier is a single completion: a decided chain frees
+// its pool slot at once (for another pair, or another query) instead of
+// idling behind the wave's straggler. Latency is the high-water mark of
+// per-chain rounds, the depth of the longest comparison process — in
+// deterministic mode exactly one round per wave.
 //
-// In async mode chains free-run: the moment a chain's batch completes it
-// is either concluded (immediately freeing its pool slot for another
-// pair, or another query) or resubmitted, with no barrier. Latency is
-// accounted as the high-water mark of per-chain rounds — the depth of
-// the longest comparison process, which is what a real crowd deployment
-// with enough workers would observe.
+// After the conclusions, a chain whose waiters have all gone stale is
+// dropped instead of (re)submitted; the samples it bought stay banked with
+// the pair.
 func drive(r *compare.Runner, p plan) {
 	q, release := r.Borrow()
 	defer release()
+	async := r.AsyncMode()
+	eng := r.Engine()
+	ins := r.Instruments()
 
-	chains := make(map[[2]int]*chain)
-	byTag := make(map[int64]*chain)
-	var nextTag int64
+	chains := make(map[[2]int]*chain) // live chains by canonical pair
+	var byTag []*chain                // every chain started, by tag
+	var ticked int64
 
-	conclude := func(c *chain) {
-		delete(chains, [2]int{c.lo, c.hi})
-		delete(byTag, c.tag)
-		for _, m := range c.waiters {
-			o := c.out
-			if m.i != c.lo {
-				o = o.Flip()
-			}
-			p.decide(m.id, o)
-		}
-	}
-
-	// pump admits every ready match: self-pairs (a tie by definition —
+	// pump takes every ready match: self-pairs (a tie by definition —
 	// they arise when sampling with replacement yields the same max
 	// twice) and memoized or store-served pairs decide immediately at
-	// zero cost (counted as memo hits by Runner.Reuse); the
+	// zero cost (counted as memo hits by Runner.Reuse); a match a verdict
+	// earlier in the pump has already made stale starts no chain; the
 	// rest attach to the pair's live chain or start a new one. Deciding
 	// can make further matches ready, so pump polls until quiescent. It
 	// returns the chains started, in creation order.
@@ -101,6 +109,9 @@ func drive(r *compare.Runner, p plan) {
 					p.decide(m.id, o)
 					continue
 				}
+				if p.stale(m.id) {
+					continue
+				}
 				lo, hi := m.i, m.j
 				if lo > hi {
 					lo, hi = hi, lo
@@ -110,115 +121,99 @@ func drive(r *compare.Runner, p plan) {
 					c.waiters = append(c.waiters, m)
 					continue
 				}
-				c := &chain{tag: nextTag, lo: lo, hi: hi, waiters: []match{m}}
-				nextTag++
+				c := &chain{tag: int64(len(byTag)), round: ticked, lo: lo, hi: hi, waiters: []match{m}}
+				c.step = func() { c.out, c.done = r.Advance(c.lo, c.hi) }
 				chains[key] = c
-				byTag[c.tag] = c
+				byTag = append(byTag, c)
 				started = append(started, c)
 			}
 		}
 	}
 
-	if !r.AsyncMode() {
-		driveWaves(r, q, p, pump, conclude)
-		return
+	// admit tops live up with the chains pump starts and drops every chain
+	// whose waiters have all gone stale. Dropping hands matches back to
+	// the plan, which may re-issue them, so admit repeats until nothing
+	// more is dropped.
+	admit := func(live []*chain) []*chain {
+		for n := -1; n != len(live); {
+			live = append(live, pump()...)
+			n = len(live)
+			live = slices.DeleteFunc(live, func(c *chain) bool {
+				c.waiters = slices.DeleteFunc(c.waiters, func(m match) bool { return p.stale(m.id) })
+				if len(c.waiters) > 0 {
+					return false
+				}
+				delete(chains, [2]int{c.lo, c.hi})
+				return true
+			})
+		}
+		return live
 	}
 
-	live := pump()
-	var ticked int64
+	live := admit(nil)
 	inflight := 0
-	submit := func(c *chain) {
-		q.Submit(sched.Task{Tag: c.tag, Round: c.round + 1, Run: func() {
-			c.out, c.done = r.Advance(c.lo, c.hi)
-		}})
-		inflight++
-	}
-	for _, c := range live {
-		c.round = ticked
-		submit(c)
-	}
-	for inflight > 0 {
-		tag := q.Next()
-		inflight--
-		c := byTag[tag]
-		// A stopped query's pending steps are dropped by the scheduler —
-		// their completions arrive without Run having executed. Conclude
-		// such chains inline: Advance on a stopped runner purchases
-		// nothing and reports the best-effort verdict immediately, so the
-		// drain makes monotonic progress at zero cost.
-		if !c.done && r.Stopped() {
-			c.out, c.done = r.Advance(c.lo, c.hi)
-		}
-		c.round++
-		// High-water latency: chains advance in lockstep rounds, so the
-		// query is as deep as its deepest chain. Chains behind the mark
-		// ride rounds already paid for.
-		if c.round > ticked {
-			r.Tick(int(c.round - ticked))
-			ticked = c.round
-		}
-		if !c.done {
-			submit(c)
-			continue
-		}
-		conclude(c)
-		for _, n := range pump() {
-			n.round = ticked
-			submit(n)
-		}
-	}
-}
-
-// driveWaves is the deterministic mode of drive: lockstep waves with a
-// drain barrier, one latency round per wave, conclusions applied in
-// chain-creation order. The wave's audit records are held per pair and
-// committed at the barrier in chain-creation order too, so the audit log
-// is as independent of Parallelism as the result.
-func driveWaves(r *compare.Runner, q *sched.Query, p plan, pump func() []*chain, conclude func(*chain)) {
-	ins := r.Instruments()
-	eng := r.Engine()
-	live := pump()
-	var wave int64
-	for len(live) > 0 {
-		wave++
+	for len(live) > 0 || inflight > 0 {
 		var waveStart time.Time
-		if ins != nil {
-			ins.Waves.Inc()
-			ins.WaveWidth.Observe(int64(len(live)))
-			ins.WaveWidthMax.SetMax(int64(len(live)))
-			waveStart = time.Now()
+		if !async {
+			if ins != nil {
+				ins.Waves.Inc()
+				ins.WaveWidth.Observe(int64(len(live)))
+				ins.WaveWidthMax.SetMax(int64(len(live)))
+				waveStart = time.Now()
+			}
+			for _, c := range live {
+				eng.HoldLog(c.lo, c.hi)
+			}
 		}
 		for _, c := range live {
-			eng.HoldLog(c.lo, c.hi)
+			q.Submit(sched.Task{Tag: c.tag, Round: c.round + 1, Run: c.step})
 		}
-		for _, c := range live {
-			c := c
-			q.Submit(sched.Task{Tag: c.tag, Round: wave, Run: func() {
-				c.out, c.done = r.Advance(c.lo, c.hi)
-			}})
+		inflight += len(live)
+
+		// The barrier: the completions whose verdicts apply now.
+		batch := live
+		if async {
+			batch = append(live[:0], byTag[q.Next()])
+			inflight--
+		} else {
+			q.Drain(inflight)
+			inflight = 0
+			for _, c := range live {
+				eng.ReleaseLog(c.lo, c.hi)
+			}
+			if ins != nil {
+				ins.WaveNs.Add(time.Since(waveStart).Nanoseconds())
+			}
 		}
-		q.Drain(len(live))
-		for _, c := range live {
-			eng.ReleaseLog(c.lo, c.hi)
-		}
-		if ins != nil {
-			ins.WaveNs.Add(time.Since(waveStart).Nanoseconds())
-		}
-		r.Tick(1)
-		next := live[:0]
-		for _, c := range live {
-			// Steps dropped by a stopped query's scheduler cancel never
-			// ran; conclude their chains best-effort at zero cost so the
-			// wave loop drains instead of resubmitting forever.
+
+		next := batch[:0]
+		for _, c := range batch {
+			if c.round++; c.round > ticked {
+				r.Tick(int(c.round - ticked))
+				ticked = c.round
+			}
+			// A stopped query's pending steps are dropped by the
+			// scheduler — their completions arrive without Run having
+			// executed. Conclude such chains inline: Advance on a stopped
+			// runner purchases nothing and reports the best-effort verdict
+			// immediately, so the drain makes monotonic progress at zero
+			// cost.
 			if !c.done && r.Stopped() {
 				c.out, c.done = r.Advance(c.lo, c.hi)
 			}
-			if c.done {
-				conclude(c)
-			} else {
+			if !c.done {
 				next = append(next, c)
+				continue
+			}
+			delete(chains, [2]int{c.lo, c.hi})
+			for _, m := range c.waiters {
+				o := c.out
+				if m.i != c.lo {
+					o = o.Flip()
+				}
+				p.decide(m.id, o)
 			}
 		}
-		live = append(next, pump()...)
+		live = admit(next)
 	}
 }

@@ -1,8 +1,9 @@
 package topk
 
 import (
+	"slices"
+
 	"crowdtopk/internal/compare"
-	"crowdtopk/internal/sched"
 )
 
 // partitionResult is the three-way split of Algorithm 4: winners beat the
@@ -30,201 +31,122 @@ type partitionResult struct {
 // accumulate, the reference may be upgraded to the estimated k-th best
 // winner (Lines 9-12; at most maxRefChanges times, cf. Table 4), which
 // reactivates the still-tied comparisons against a reference closer to
-// o_k* (Lemma 4).
-//
-// In deterministic mode the items advance in lockstep passes on the
-// control goroutine, exactly reproducing the historical sequential
-// execution; in async mode each item races the reference as its own
-// free-running chain on the scheduler (partitionAsync).
+// o_k* (Lemma 4). The races are a partitionPlan run by drive, so the
+// partition uses the worker pool and the barrier of either scheduling
+// mode like every other comparison phase.
 func partition(r *compare.Runner, items []int, k, ref, maxRefChanges int) partitionResult {
-	if r.AsyncMode() {
-		return partitionAsync(r, items, k, ref, maxRefChanges)
-	}
-	var winners, losers []int
-	changes := 0
+	p := newPartitionPlan(r, items, k, ref, maxRefChanges)
+	drive(r, p)
+	return p.result()
+}
 
-	// active holds items still racing against the current reference;
-	// exhausted holds items whose pairwise budget ran out undecided.
-	active := make([]int, 0, len(items)-1)
+// partitionPlan is Algorithm 4 as a plan: each item races the reference
+// as one match, and a decided race classifies the item. A match issued
+// against a reference that has since been upgraded is stale. A stale
+// race still undecided is dropped by the driver and its item re-issued
+// against the current reference (its samples against the old one stay
+// banked). A stale race that concluded SecondWins keeps its item a
+// loser — by Lemma 4 the new reference beats the old one, so the item
+// loses to it too; any other stale verdict is re-raced.
+//
+// Races are issued in ascending item order, whatever order their items
+// became due in, so chain-creation order — and with it the order a
+// barrier applies verdicts in — depends only on the set of items due. A
+// recursion's input (the outer partition's losers) and a repeat query
+// meeting memoized verdicts list the same items in other orders than the
+// run that first bought them.
+type partitionPlan struct {
+	r             *compare.Runner
+	k, maxChanges int
+	ref, changes  int
+	winners       []int
+	ties          []int // pairwise budget exhausted undecided
+	losers        []int
+	todo          []int  // items to race against ref at the next ready
+	races         []race // every race issued, by match id
+}
+
+func newPartitionPlan(r *compare.Runner, items []int, k, ref, maxRefChanges int) *partitionPlan {
+	p := &partitionPlan{r: r, k: k, maxChanges: maxRefChanges, ref: ref,
+		todo: make([]int, 0, len(items)), races: make([]race, 0, len(items))}
 	for _, o := range items {
 		if o != ref {
-			active = append(active, o)
+			p.todo = append(p.todo, o)
 		}
 	}
-	var exhausted []int
+	return p
+}
 
-	for len(active) > 0 {
-		kept := make([]int, 0, len(active))
-		for idx := 0; idx < len(active); idx++ {
-			o := active[idx]
-			out, done := r.Advance(o, ref)
-			if !done {
-				kept = append(kept, o)
-				continue
-			}
-			switch out {
-			case compare.FirstWins:
-				winners = append(winners, o)
-			case compare.SecondWins:
-				losers = append(losers, o)
-			default:
-				exhausted = append(exhausted, o)
-			}
-
-			if len(winners) == k && changes < maxRefChanges {
-				// Lines 9-12: the estimated k-th best winner r' satisfies
-				// o_k* ⪰ r' ≻ r, a strictly better reference (Lemma 4).
-				newRef, ok := estimatedKth(r, winners, ref)
-				if !ok {
-					continue // no winner has evidence against this ref yet
-				}
-				changes++
-				losers = append(losers, ref)
-				winners = removeItem(winners, newRef)
-				ref = newRef
-				// Budget-exhausted ties get a fresh race against the new
-				// reference; unprocessed items simply continue against it.
-				kept = append(kept, exhausted...)
-				kept = append(kept, active[idx+1:]...)
-				exhausted = nil
-				break
-			}
-		}
-		r.Tick(1)
-		active = kept
-	}
-
-	res := partitionResult{
-		winners:    winners,
-		ties:       exhausted,
-		losers:     losers,
-		ref:        ref,
-		refChanges: changes,
-	}
-	if len(res.winners) < k {
+// result is the partition once the plan has been driven to completion.
+func (p *partitionPlan) result() partitionResult {
+	res := partitionResult{winners: p.winners, ties: p.ties, losers: p.losers, ref: p.ref, refChanges: p.changes}
+	if len(res.winners) < p.k {
 		// Line 13: the reference itself is a top-k candidate.
-		res.winners = append(res.winners, ref)
+		res.winners = append(res.winners, p.ref)
 		res.refInWinners = true
 	}
 	return res
 }
 
-// partitionAsync is Algorithm 4 on free-running chains: every item races
-// the current reference as its own comparison process on the shared
-// scheduler, and a decided item immediately frees its pool slot instead
-// of waiting for the round's stragglers. Reference upgrades take effect
-// at each chain's next step: a batch that was in flight against the old
-// reference still counts (its samples are banked per pair), but the
-// chain's continuation — and its classification — happen against the
-// current reference only. Latency is the high-water mark of per-chain
-// rounds.
-func partitionAsync(r *compare.Runner, items []int, k, ref, maxRefChanges int) partitionResult {
-	q, release := r.Borrow()
-	defer release()
+// race is one issued match: the item and the number of reference
+// changes when it was issued.
+type race struct{ item, epoch int }
 
-	var winners, losers, exhausted []int
-	changes := 0
-	cur := ref
+func (p *partitionPlan) ready() []match {
+	slices.Sort(p.todo)
+	ms := make([]match, len(p.todo))
+	for idx, o := range p.todo {
+		ms[idx] = match{id: int64(len(p.races)), i: o, j: p.ref}
+		p.races = append(p.races, race{o, p.changes})
+	}
+	p.todo = p.todo[:0]
+	return ms
+}
 
-	type race struct {
-		item  int
-		ref   int // reference the last submitted batch ran against
-		round int64
-		out   compare.Outcome
-		done  bool
+func (p *partitionPlan) stale(id int64) bool {
+	rc := p.races[id]
+	if rc.epoch == p.changes {
+		return false
 	}
-	races := make(map[int64]*race)
-	var nextTag, ticked int64
-	inflight := 0
+	p.todo = append(p.todo, rc.item)
+	return true
+}
 
-	submit := func(tag int64, rc *race) {
-		rc.ref = cur
-		q.Submit(sched.Task{Tag: tag, Round: rc.round + 1, Run: func() {
-			rc.out, rc.done = r.Advance(rc.item, rc.ref)
-		}})
-		inflight++
+func (p *partitionPlan) decide(id int64, o compare.Outcome) {
+	rc := p.races[id]
+	if rc.epoch != p.changes {
+		if o == compare.SecondWins {
+			p.losers = append(p.losers, rc.item)
+		} else {
+			p.todo = append(p.todo, rc.item)
+		}
+		return
 	}
-	start := func(item int) {
-		rc := &race{item: item, round: ticked}
-		tag := nextTag
-		nextTag++
-		races[tag] = rc
-		submit(tag, rc)
+	switch o {
+	case compare.FirstWins:
+		p.winners = append(p.winners, rc.item)
+	case compare.SecondWins:
+		p.losers = append(p.losers, rc.item)
+	default:
+		p.ties = append(p.ties, rc.item)
 	}
-
-	for _, o := range items {
-		if o != cur {
-			start(o)
-		}
+	if len(p.winners) != p.k || p.changes >= p.maxChanges {
+		return
 	}
-	for inflight > 0 {
-		tag := q.Next()
-		inflight--
-		rc := races[tag]
-		// A stopped query's pending steps are dropped by the scheduler and
-		// delivered unrun. Classify such races inline: Advance on a stopped
-		// runner purchases nothing and reports the best-effort verdict, so
-		// the drain terminates instead of resubmitting dropped work forever.
-		if r.Stopped() && (!rc.done || rc.ref != cur) {
-			rc.out, rc.done = r.Advance(rc.item, cur)
-			rc.ref = cur
-		}
-		rc.round++
-		if rc.round > ticked {
-			r.Tick(int(rc.round - ticked))
-			ticked = rc.round
-		}
-		if rc.ref != cur {
-			// The reference was upgraded while this batch was in flight:
-			// whatever the old race concluded, the item must be classified
-			// against the current reference. Its samples are banked, so
-			// the switch costs only the comparisons not yet bought.
-			submit(tag, rc)
-			continue
-		}
-		if !rc.done {
-			submit(tag, rc)
-			continue
-		}
-		delete(races, tag)
-		switch rc.out {
-		case compare.FirstWins:
-			winners = append(winners, rc.item)
-		case compare.SecondWins:
-			losers = append(losers, rc.item)
-		default:
-			exhausted = append(exhausted, rc.item)
-		}
-		if len(winners) == k && changes < maxRefChanges {
-			newRef, ok := estimatedKth(r, winners, cur)
-			if ok {
-				changes++
-				losers = append(losers, cur)
-				winners = removeItem(winners, newRef)
-				cur = newRef
-				// Budget-exhausted ties get a fresh race against the new
-				// reference; in-flight chains pick it up at their next step.
-				for _, o := range exhausted {
-					start(o)
-				}
-				exhausted = nil
-			}
-		}
+	// Lines 9-12: the estimated k-th best winner r' satisfies
+	// o_k* ⪰ r' ≻ r, a strictly better reference (Lemma 4).
+	newRef, ok := estimatedKth(p.r, p.winners, p.ref)
+	if !ok {
+		return // no winner has evidence against this ref yet
 	}
-
-	res := partitionResult{
-		winners:    winners,
-		ties:       exhausted,
-		losers:     losers,
-		ref:        cur,
-		refChanges: changes,
-	}
-	if len(res.winners) < k {
-		// Line 13: the reference itself is a top-k candidate.
-		res.winners = append(res.winners, cur)
-		res.refInWinners = true
-	}
-	return res
+	p.changes++
+	p.losers = append(p.losers, p.ref)
+	p.winners = slices.DeleteFunc(p.winners, func(o int) bool { return o == newRef })
+	p.ref = newRef
+	// Budget-exhausted ties get a fresh race against the new reference;
+	// races in flight against the old one go stale.
+	p.todo = append(p.todo, p.ties...)
+	p.ties = nil
 }
 
 // estimatedKth returns the winner with the k-th best (here: smallest,
@@ -263,14 +185,4 @@ func estimatedKth(r *compare.Runner, winners []int, ref int) (int, bool) {
 		return ref, false
 	}
 	return best, true
-}
-
-func removeItem(items []int, x int) []int {
-	out := items[:0]
-	for _, o := range items {
-		if o != x {
-			out = append(out, o)
-		}
-	}
-	return out
 }

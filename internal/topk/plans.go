@@ -6,6 +6,7 @@ import "crowdtopk/internal/compare"
 // of quickselect's pivot phase. Every pair is ready immediately; outcomes
 // are recorded raw, oriented toward each pair's first item.
 type flatPlan struct {
+	fresh
 	pairs  [][2]int
 	out    []compare.Outcome
 	issued bool
@@ -38,6 +39,7 @@ func (p *flatPlan) decide(id int64, o compare.Outcome) { p.out[id] = o }
 // onMatch, when non-nil, observes every decided match (tournament-tree
 // loser bookkeeping).
 type bracketPlan struct {
+	fresh
 	r       *compare.Runner
 	trees   []*bracketTree
 	pending map[int64][3]int // match id -> {tree, level, match index}
@@ -144,6 +146,7 @@ func (t *bracketTree) fill(level, slot, v int) {
 // cap guards against livelock when noisy, budget-exhausted judgments are
 // intransitive; the sort is stable under indistinguishable ties.
 type oddEvenPlan struct {
+	fresh
 	r           *compare.Runner
 	items       []int
 	pass        int
@@ -210,6 +213,7 @@ func (p *oddEvenPlan) decide(id int64, o compare.Outcome) {
 // levels, since a merger becomes ready the moment its two input runs
 // finish, regardless of its cousins.
 type mergePlan struct {
+	fresh
 	r       *compare.Runner
 	root    *mergeNode
 	nodes   []*mergeNode // internal nodes, creation order (determinism)

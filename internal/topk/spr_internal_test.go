@@ -1,12 +1,16 @@
 package topk
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"crowdtopk/internal/compare"
+	"crowdtopk/internal/crowd"
 	"crowdtopk/internal/dataset"
 )
 
@@ -122,53 +126,175 @@ func TestSelectReferenceLandsNearSweetSpot(t *testing.T) {
 	}
 }
 
+// watchedPartition observes a partitionPlan as drive runs it: which
+// reference each race was issued against, which items a verdict made
+// losers, and each pair's workload at the moment its race went stale.
+type watchedPartition struct {
+	*partitionPlan
+	async  bool
+	open   map[int64]bool // races issued, neither decided nor detached
+	refs   []int          // refs[e]: the reference after e upgrades
+	lostAt map[int]int    // loser item -> epoch of the race it lost
+	frozen map[[2]int]int // stale (item, ref) pair -> workload when stale
+}
+
+func watchPartition(p *partitionPlan, async bool) *watchedPartition {
+	return &watchedPartition{partitionPlan: p, async: async, open: map[int64]bool{},
+		refs: []int{p.ref}, lostAt: map[int]int{}, frozen: map[[2]int]int{}}
+}
+
+func (w *watchedPartition) ready() []match {
+	ms := w.partitionPlan.ready()
+	for _, m := range ms {
+		w.open[m.id] = true
+	}
+	return ms
+}
+
+func (w *watchedPartition) freeze(rc race) {
+	pair := [2]int{rc.item, w.refs[rc.epoch]}
+	w.frozen[pair] = w.r.Workload(pair[0], pair[1])
+}
+
+func (w *watchedPartition) decide(id int64, o compare.Outcome) {
+	rc := w.races[id]
+	delete(w.open, id)
+	epoch := w.changes
+	w.partitionPlan.decide(id, o)
+	if _, lost := w.lostAt[rc.item]; !lost && o == compare.SecondWins {
+		w.lostAt[rc.item] = rc.epoch
+	}
+	if w.changes == epoch {
+		return
+	}
+	w.refs = append(w.refs, w.ref)
+	if !w.async {
+		// A wave's purchases all finish before its barrier, so every race
+		// the upgrade made stale has bought its last batch already.
+		for id := range w.open {
+			w.freeze(w.races[id])
+		}
+	}
+}
+
+func (w *watchedPartition) stale(id int64) bool {
+	if !w.partitionPlan.stale(id) {
+		return false
+	}
+	delete(w.open, id)
+	w.freeze(w.races[id]) // detached: its chain is never submitted again
+	return true
+}
+
+// TestPartitionInvariants drives Algorithm 4 in deterministic mode at
+// Parallelism 1 and 8 and in async mode over fixtures whose reference
+// gets upgraded (at seed 34, with races concluding SecondWins in the
+// upgrade's own wave). In every mode the result is a partition consistent
+// with the memoized verdicts, no loser races a later reference, and no
+// stale race buys after the barrier (or completion) that made it stale;
+// the deterministic runs agree in result and audit log.
 func TestPartitionInvariants(t *testing.T) {
+	for _, seed := range []int64{31, 34} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { testPartitionInvariants(t, seed) })
+	}
+}
+
+func testPartitionInvariants(t *testing.T, seed int64) {
 	const n, k = 50, 8
-	r, src := noisyRunner(n, 0.25, 31)
-	items := allItems(n)
-	ref := dataset.Order(src)[12] // a known mid reference
-	res := partition(r, items, k, ref, 2)
+	modes := []struct {
+		name        string
+		parallelism int
+		async       bool
+	}{
+		{"deterministic/p1", 1, false},
+		{"deterministic/p8", 8, false},
+		{"async/p8", 8, true},
+	}
+	var detRes []partitionResult
+	var detLogs [][]crowd.Record
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			src := dataset.NewSynthetic(n, 0.25, seed)
+			eng := crowd.NewEngine(src, rand.New(rand.NewSource(seed+2000)))
+			eng.EnableLog()
+			r := compare.NewRunner(eng, compare.NewStudent(0.05), compare.Params{
+				B: 300, I: 30, Step: 30, Parallelism: mode.parallelism, Async: mode.async})
+			ref := dataset.Order(src)[12] // a known mid reference
+			w := watchPartition(newPartitionPlan(r, allItems(n), k, ref, 2), mode.async)
+			drive(r, w)
+			res := w.result()
 
-	// The three groups plus the final reference partition the item set.
-	seen := map[int]int{}
-	for _, o := range res.winners {
-		seen[o]++
-	}
-	for _, o := range res.ties {
-		seen[o]++
-	}
-	for _, o := range res.losers {
-		seen[o]++
-	}
-	if !res.refInWinners {
-		seen[res.ref]++
-	}
-	if len(seen) != n {
-		t.Fatalf("partition covers %d items, want %d", len(seen), n)
-	}
-	for o, c := range seen {
-		if c != 1 {
-			t.Fatalf("item %d appears %d times in the partition", o, c)
-		}
-	}
+			// The three groups plus the final reference partition the item set.
+			seen := map[int]int{}
+			for _, group := range [][]int{res.winners, res.ties, res.losers} {
+				for _, o := range group {
+					seen[o]++
+				}
+			}
+			if !res.refInWinners {
+				seen[res.ref]++
+			}
+			if len(seen) != n {
+				t.Fatalf("partition covers %d items, want %d", len(seen), n)
+			}
+			for o, c := range seen {
+				if c != 1 {
+					t.Fatalf("item %d appears %d times in the partition", o, c)
+				}
+			}
 
-	// Confirmed winners beat the final reference per the memo; confirmed
-	// losers lose to it.
-	for _, o := range res.winners {
-		if res.refInWinners && o == res.ref {
-			continue
-		}
-		if out, ok := r.Concluded(o, res.ref); ok && out != compare.FirstWins {
-			t.Errorf("winner %d concluded %v against reference", o, out)
-		}
+			// Confirmed winners beat the final reference per the memo;
+			// confirmed losers lose to it.
+			for _, o := range res.winners {
+				if res.refInWinners && o == res.ref {
+					continue
+				}
+				if out, ok := r.Concluded(o, res.ref); ok && out != compare.FirstWins {
+					t.Errorf("winner %d concluded %v against reference", o, out)
+				}
+			}
+			for _, o := range res.losers {
+				if out, ok := r.Concluded(o, res.ref); ok && out != compare.SecondWins {
+					t.Errorf("loser %d concluded %v against reference", o, out)
+				}
+			}
+			if res.refChanges < 1 || res.refChanges > 2 {
+				t.Errorf("refChanges = %d, want an upgrade within the cap of 2", res.refChanges)
+			}
+
+			// An item that lost a race — fresh or stale — stays a loser
+			// (Lemma 4): it never races a later reference.
+			for o, e := range w.lostAt {
+				for _, later := range w.refs[e+1:] {
+					if got := r.Workload(o, later); got != 0 {
+						t.Errorf("loser %d (lost at epoch %d) bought %d samples against later reference %d", o, e, got, later)
+					}
+				}
+			}
+			// A stale race buys nothing after it went stale.
+			for pair, at := range w.frozen {
+				if got := r.Workload(pair[0], pair[1]); got != at {
+					t.Errorf("stale race %v: workload %d after going stale at %d", pair, got, at)
+				}
+			}
+			if len(w.frozen) == 0 {
+				t.Errorf("no race went stale; the fixture does not exercise staleness")
+			}
+
+			if !mode.async {
+				detRes = append(detRes, res)
+				detLogs = append(detLogs, eng.Log())
+			}
+		})
 	}
-	for _, o := range res.losers {
-		if out, ok := r.Concluded(o, res.ref); ok && out != compare.SecondWins {
-			t.Errorf("loser %d concluded %v against reference", o, out)
+	if len(detRes) == 2 {
+		if !reflect.DeepEqual(detRes[0], detRes[1]) {
+			t.Errorf("deterministic partition diverged across Parallelism\n p=1: %+v\n p=8: %+v", detRes[0], detRes[1])
 		}
-	}
-	if res.refChanges > 2 {
-		t.Errorf("refChanges %d exceeds cap", res.refChanges)
+		if !reflect.DeepEqual(detLogs[0], detLogs[1]) {
+			t.Errorf("deterministic audit logs diverged across Parallelism (%d vs %d records, first difference at %d)",
+				len(detLogs[0]), len(detLogs[1]), firstDiff(detLogs[0], detLogs[1]))
+		}
 	}
 }
 
