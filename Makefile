@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet determinism bench bench-hot bench-json bench-diff warm-cache fuzz chaos serve-metrics smoke-metrics load service-smoke crash-recovery log-bench explain-bench policy-race all
+.PHONY: build test race vet determinism bench bench-hot overhead fuzz chaos serve-metrics smoke-metrics load service-smoke crash-recovery all
 
 build:
 	$(GO) build ./...
@@ -42,44 +42,25 @@ bench:
 	$(GO) test ./internal/topk/ -run '^$$' -bench BenchmarkCompareAllParallel -benchtime 3x
 	$(GO) test ./internal/crowd/ -run '^$$' -bench . -benchtime 100x
 
-# The microtask hot-path benchmarks behind the perf trajectory: batched
-# draw kernels, parallel snapshot reads, and one end-to-end SPR query.
-# -count 5 lets perfcheck (and benchstat) take medians over noise.
+# The microtask hot-path benchmarks: batched draw kernels, parallel
+# snapshot reads, and one end-to-end SPR query. -count 5 lets benchstat
+# take medians over noise. The end-to-end perf ledger is perfbench
+# (bash perfbench/run.sh).
 BENCH_HOT = -run '^$$' -bench 'BenchmarkDrawHotPath|BenchmarkViewParallel' -benchtime 0.5s -count 5
 BENCH_E2E = -run '^$$' -bench 'BenchmarkSPREndToEnd' -benchtime 2x -count 5
-# The scheduler utilization benchmark: one straggler pair among 200 on a
-# simulated-latency crowd, wave vs async. perfcheck gates the ordering of
-# the reported "util" metric (async must keep the pool busier than waves).
-BENCH_SCHED = -run '^$$' -bench 'BenchmarkSchedulerStraggler' -benchtime 3x -count 3
 
 bench-hot:
 	$(GO) test ./internal/crowd/ $(BENCH_HOT)
 	$(GO) test ./internal/topk/ $(BENCH_E2E)
 
-# Refresh the machine-readable perf trajectory artifact: benchmark medians
-# plus one instrumented end-to-end query's QueryStats, in one JSON file.
-# bench-raw.txt keeps the raw `go test -bench` text for benchstat.
-bench-json:
-	$(GO) test ./internal/crowd/ $(BENCH_HOT) > bench-raw.txt
-	$(GO) test ./internal/topk/ $(BENCH_E2E) >> bench-raw.txt
-	$(GO) test ./internal/topk/ $(BENCH_SCHED) >> bench-raw.txt
-	$(GO) run ./cmd/topkquery -n 200 -k 10 -stats-out query-stats.json > /dev/null
-	$(GO) run ./cmd/perfcheck -current bench-raw.txt -stats query-stats.json -json BENCH_PR5.json \
-		-metric-gate 'util:BenchmarkSchedulerStraggler/async>BenchmarkSchedulerStraggler/wave'
-
-# Cold-vs-warm judgment-store scenario: an 8-query, 50%-overlap mix whose
-# repeated half is answered from stored verdicts. Gates warm TMC <= 20%
-# of cold with byte-identical top-k results and exact store-counter /
-# engine-TMC reconciliation at /debug/accounting, then refreshes the
-# committed BENCH_PR7.json artifact.
-warm-cache:
-	$(GO) run ./cmd/perfcheck -warm-scenario -json BENCH_PR7.json
-
-# Human-readable benchmark deltas against the committed baseline:
-# benchstat when available, a pure-awk median table offline. The actual
-# regression gate is `perfcheck -baseline` (see bench-json / CI).
-bench-diff:
-	./scripts/benchdiff.sh BENCH_BASELINE.txt bench-raw.txt
+# What observability costs one query: the same deterministic query with
+# the persistent audit log (batched, gated <5% wall over off; and
+# fsync-always, reported only) and with cost attribution plus debug
+# logging (gated <3%), interleaved best-of reps. Every run must keep TMC
+# and top-k identical, every log must hold TMC records and verify, and
+# every attribution tree must sum to Result.TMC. Prints to stdout.
+overhead:
+	$(GO) run ./cmd/perfcheck
 
 # Run one query with the live telemetry endpoint up: Prometheus metrics on
 # /metrics, expvar JSON on /debug/vars, the span trace on /trace, and live
@@ -114,31 +95,6 @@ crash-recovery:
 	$(GO) test -race ./internal/auditlog/ -run 'TestCrash|TestTruncate|TestTamper|TestVerify' -count 1
 	$(GO) test -race . -run 'TestAudit|TestResume' -count 1
 	./scripts/crash_smoke.sh
-
-# Durability-tax benchmark: the same deterministic query with the audit
-# log off, batched (default), and fsync-always, interleaved reps, gated
-# so batched logging costs <5% wall time over no logging. Refreshes the
-# committed BENCH_PR8.json artifact.
-log-bench:
-	$(GO) run ./cmd/perfcheck -log-bench -json BENCH_PR8.json
-
-# Explainability-tax benchmark: the same deterministic query with
-# observability off and with per-pair cost attribution plus structured
-# logging enabled, interleaved reps, gated so the enabled mode costs <3%
-# wall time over off with the attribution tree summing exactly to
-# Result.TMC on every rep. Refreshes the committed BENCH_PR9.json.
-explain-bench:
-	$(GO) run ./cmd/perfcheck -explain-bench -json BENCH_PR9.json
-
-# Comparison-policy race: every policy × algorithm against the Lemma 1/3
-# infimum. Gates the legacy fixed-step path byte-identical to the
-# pre-refactor loop at <3% wall overhead, requires every grid cell
-# deterministic across reps, and at least one adaptive policy (voi/pac)
-# beating fixed-step Student on TMC-vs-infimum at equal-or-better NDCG.
-# Refreshes the committed BENCH_PR10.json; CI diffs it ignoring the
-# machine-dependent wall-time lines.
-policy-race:
-	$(GO) run ./cmd/perfcheck -policy-race -json BENCH_PR10.json
 
 # Short fuzzing sessions: compareAll's duplicate/orientation grouping, and
 # randomized platform fault schedules against the resilience layer. Go

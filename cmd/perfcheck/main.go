@@ -1,367 +1,250 @@
-// Command perfcheck turns `go test -bench` output into the repository's
-// machine-readable perf trajectory and gates regressions against a
-// committed baseline, with no dependency outside the standard library (CI
-// additionally runs benchstat for human-readable statistics).
+// Command perfcheck measures what observability costs a query. It runs
+// one deterministic query, configured the way topkd runs it (in-memory
+// audit log on), with no further observability and with each
+// observability feature switched on:
 //
-// Emit a trajectory artifact:
+//   - off: the baseline;
+//   - batched: the persistent audit log with interval fsync, topkd's
+//     default (gate 5% over off);
+//   - fsync-always: the audit log syncing every batch (reported only:
+//     paying a sync per batch is a policy choice, not a regression);
+//   - explain+log: per-pair cost attribution plus a debug-level
+//     structured logger (gate 3% over off).
 //
-//	go test ./internal/crowd/ -run '^$' -bench . -count 5 | perfcheck -json BENCH_PR2.json
+// The reps are interleaved so machine-load drift hits every mode equally,
+// and each mode is scored by its best rep: ambient load only ever adds
+// wall time, so the minimum is the intrinsic cost, while medians (printed
+// for spread) drift with whatever else the host runs.
 //
-// Gate a candidate run against a baseline (fails the build on >10%
-// slowdown of any shared benchmark):
+// Every run also checks correctness: all runs of all modes land the same
+// TMC and top-k (observing must not perturb the query), every logging
+// run's directory holds exactly TMC records and passes VerifyAuditLog,
+// and every attribution tree sums to exactly Result.TMC. Any failed check
+// or gate exits 1.
 //
-//	perfcheck -baseline BENCH_BASELINE.txt -current bench.txt -max-regress 0.10
+// Usage (or make overhead):
 //
-// Multiple -count runs of one benchmark are reduced to their median ns/op,
-// so one noisy run does not flip the gate.
-//
-// With -stats, a QueryStats JSON file (written by topkquery -stats-out) is
-// folded into the artifact next to the benchmark medians, so one JSON file
-// tracks both microbenchmark latency and end-to-end query cost:
-//
-//	topkquery -stats-out query-stats.json ...
-//	go test ./... -bench . | perfcheck -json BENCH_PR4.json -stats query-stats.json
-//
-// With -metric-gate, custom b.ReportMetric values are compared *within*
-// the current run — the right gate for machine-dependent ratios such as
-// scheduler pool utilization, where the claim is an ordering:
-//
-//	perfcheck -current bench.txt \
-//	  -metric-gate 'util:BenchmarkSchedulerStraggler/async>BenchmarkSchedulerStraggler/wave'
-//
-// With -warm-scenario, perfcheck instead runs the judgment-store
-// cold-vs-warm query mix in-process (see scenario.go) and gates warm TMC
-// against -warm-max-ratio with byte-identical top-k results:
-//
-//	perfcheck -warm-scenario -json BENCH_PR7.json
-//
-// With -log-bench, perfcheck measures the audit log's durability tax
-// in-process (see logbench.go): the same deterministic query with no
-// log, batched logging and fsync-always, interleaved reps reduced to
-// medians, gating batched at -log-max-overhead over no-log with
-// identical TMC everywhere and every record on disk:
-//
-//	perfcheck -log-bench -json BENCH_PR8.json
-//
-// With -explain-bench, perfcheck measures the explainability tax (see
-// explainbench.go): the same deterministic query with observability off
-// and with per-pair cost attribution plus structured logging enabled,
-// gating the enabled mode at -explain-max-overhead over off with
-// identical TMC/top-k and the attribution tree summing exactly to the
-// query's Result.TMC on every rep:
-//
-//	perfcheck -explain-bench -json BENCH_PR9.json
-//
-// With -policy-race, perfcheck races every comparison policy × algorithm
-// against the Lemma 1/3 infimum (see policyrace.go): the legacy
-// fixed-step path is gated byte-identical to the pre-refactor loop at
-// <-policy-max-overhead wall overhead, every cell must be deterministic
-// across reps, and at least one adaptive policy must beat fixed-step
-// Student on TMC-vs-infimum at equal-or-better NDCG:
-//
-//	perfcheck -policy-race -json BENCH_PR10.json
+//	go run ./cmd/perfcheck
 package main
 
 import (
-	"bufio"
-	"encoding/json"
-	"flag"
+	"context"
 	"fmt"
 	"io"
 	"os"
-	"regexp"
-	"sort"
-	"strconv"
-	"strings"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"time"
 
 	"crowdtopk"
 )
 
-// benchLine matches one result line of `go test -bench` output, e.g.
-//
-//	BenchmarkDrawHotPath/batch30-8   572666   704.2 ns/op   48 B/op   1 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(.*)$`)
+// The query: 60 synthetic items behind the simulated crowd platform, the
+// deployment shape topkd logs in, so each overhead ratio is taken against
+// realistic per-microtask cost rather than a bare in-memory lookup.
+const (
+	items      = 60
+	noise      = 0.25
+	dataSeed   = 70
+	crowdSeed  = 71
+	querySeed  = 75
+	k          = 8
+	budget     = 400
+	confidence = 0.95
+	reps       = 15
+)
 
-type result struct {
-	Name        string   `json:"name"`
-	Runs        int      `json:"runs"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	BPerOp      *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// Metrics carries custom b.ReportMetric values (e.g. microtasks/s).
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+// mode is one observability configuration.
+type mode struct {
+	name    string
+	sync    crowdtopk.AuditSyncPolicy // persistent audit log policy; "" for none
+	explain bool                      // cost attribution and debug logging
+	gate    float64                   // max best-of overhead over off; 0 reports only
 }
 
-// parse reduces bench output to one result per benchmark name: the median
-// ns/op over repeated -count runs, with secondary metrics from the median
-// run's line.
-func parse(r io.Reader) ([]result, error) {
-	type sample struct {
-		ns   float64
-		rest string
-	}
-	samples := make(map[string][]sample)
-	var order []string
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			continue
-		}
-		name := m[1]
-		if _, seen := samples[name]; !seen {
-			order = append(order, name)
-		}
-		samples[name] = append(samples[name], sample{ns: ns, rest: m[4]})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	var out []result
-	for _, name := range order {
-		ss := samples[name]
-		sort.Slice(ss, func(a, b int) bool { return ss[a].ns < ss[b].ns })
-		med := ss[len(ss)/2]
-		res := result{Name: name, Runs: len(ss), NsPerOp: med.ns}
-		// Secondary columns come in "value unit" pairs.
-		fields := strings.Fields(med.rest)
-		for i := 0; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch fields[i+1] {
-			case "B/op":
-				b := v
-				res.BPerOp = &b
-			case "allocs/op":
-				a := v
-				res.AllocsPerOp = &a
-			default:
-				if res.Metrics == nil {
-					res.Metrics = make(map[string]float64)
-				}
-				res.Metrics[fields[i+1]] = v
-			}
-		}
-		out = append(out, res)
-	}
-	return out, nil
+var modes = []mode{
+	{name: "off"},
+	{name: "batched", sync: crowdtopk.AuditSyncInterval, gate: 0.05},
+	{name: "fsync-always", sync: crowdtopk.AuditSyncAlways},
+	{name: "explain+log", explain: true, gate: 0.03},
 }
 
-func parseFile(path string) ([]result, error) {
-	f, err := os.Open(path)
+// run is the outcome of one query run.
+type run struct {
+	res        crowdtopk.Result
+	wall       time.Duration
+	records    int   // audit records on disk; -1 without a persistent log
+	attributed int64 // attribution tree total; -1 with attribution off
+}
+
+// runOnce executes the query once in mode m, logging into dir when the
+// mode persists. The platform seeds each batch by its post id and each
+// answer by its task index, and Parallelism 1 keeps one comparison
+// chain, so TMC and top-k are bit-identical across runs.
+func runOnce(m mode, dir string) (run, error) {
+	r := run{records: -1, attributed: -1}
+	d := crowdtopk.SyntheticDataset(items, noise, dataSeed)
+	oracle := crowdtopk.WrapPlatformResilient(d.NumItems(),
+		crowdtopk.SimulatedPlatform(d, 8, crowdSeed), crowdtopk.ResilienceOptions{})
+	sess, err := crowdtopk.NewSession(oracle, crowdtopk.Options{
+		Budget: budget, Seed: querySeed, Confidence: confidence, Parallelism: 1,
+	})
 	if err != nil {
-		return nil, err
+		return r, err
 	}
-	defer f.Close()
-	return parse(f)
+	defer sess.Close()
+	sess.EnableAuditLog()
+	var alog *crowdtopk.AuditLog
+	if m.sync != "" {
+		if alog, err = crowdtopk.OpenAuditLog(dir, crowdtopk.AuditLogOptions{Sync: m.sync}); err != nil {
+			return r, err
+		}
+		sess.SetAuditSink(alog)
+	}
+	var qo crowdtopk.QueryOptions
+	if m.explain {
+		// io.Discard isolates the logging bookkeeping from disk throughput.
+		lg, err := crowdtopk.NewLogger(io.Discard, "debug")
+		if err != nil {
+			return r, err
+		}
+		sess.SetLogger(lg)
+		qo.Explain = true
+	}
+
+	start := time.Now()
+	h, err := sess.StartTopK(context.Background(), k, qo)
+	if err != nil {
+		return r, err
+	}
+	r.res, err = h.Wait()
+	r.wall = time.Since(start)
+	if err != nil {
+		return r, err
+	}
+	if m.explain {
+		r.attributed = h.Explain().TMC
+	}
+	if alog != nil {
+		// Close flushes the commit queue and writes the final checkpoint;
+		// a dropped record shows as a short directory.
+		if err := alog.Close(); err != nil {
+			return r, err
+		}
+		recs, err := crowdtopk.LoadAuditLog(dir)
+		if err != nil {
+			return r, fmt.Errorf("reloading audit log: %w", err)
+		}
+		vr, err := crowdtopk.VerifyAuditLog(dir)
+		if err != nil {
+			return r, fmt.Errorf("verifying audit log: %w", err)
+		}
+		if !vr.OK {
+			return r, fmt.Errorf("audit log fails verification: first bad %s", vr.FirstBad)
+		}
+		r.records = len(recs)
+	}
+	return r, nil
 }
 
-// gate compares current against baseline and returns the verdict lines
-// for shared benchmarks, plus whether any regressed beyond maxRegress.
-func gate(baseline, current []result, maxRegress float64) (lines []string, failed bool) {
-	base := make(map[string]result, len(baseline))
-	for _, r := range baseline {
-		base[r.Name] = r
+// check returns what is wrong with one run against the first run's
+// answer, or "" when every check holds.
+func check(r, first run) string {
+	switch {
+	case r.res.TMC != first.res.TMC || !reflect.DeepEqual(r.res.TopK, first.res.TopK):
+		return fmt.Sprintf("tmc %d top-k %v diverged from tmc %d top-k %v",
+			r.res.TMC, r.res.TopK, first.res.TMC, first.res.TopK)
+	case r.records >= 0 && int64(r.records) != r.res.TMC:
+		return fmt.Sprintf("%d records on disk for tmc %d", r.records, r.res.TMC)
+	case r.attributed >= 0 && r.attributed != r.res.TMC:
+		return fmt.Sprintf("attribution total %d != tmc %d", r.attributed, r.res.TMC)
 	}
-	for _, cur := range current {
-		b, ok := base[cur.Name]
-		if !ok || b.NsPerOp <= 0 {
-			continue
-		}
-		delta := cur.NsPerOp/b.NsPerOp - 1
-		verdict := "ok"
-		if delta > maxRegress {
-			verdict = "REGRESSION"
-			failed = true
-		}
-		lines = append(lines, fmt.Sprintf("%-55s %12.1f -> %12.1f ns/op  %+6.1f%%  %s",
-			cur.Name, b.NsPerOp, cur.NsPerOp, 100*delta, verdict))
-	}
-	return lines, failed
-}
-
-// gateMetrics enforces -metric-gate assertions of the form
-// "metric:benchA>benchB": benchA's custom metric (a b.ReportMetric unit)
-// must strictly exceed benchB's in the current run. It compares within
-// one run rather than against a baseline because custom metrics like pool
-// utilization are machine-dependent ratios — the claim worth pinning is
-// the ordering, not the absolute value.
-func gateMetrics(current []result, spec string) error {
-	byName := make(map[string]result, len(current))
-	for _, r := range current {
-		byName[r.Name] = r
-	}
-	lookup := func(name, metric string) (float64, error) {
-		r, ok := byName[name]
-		if !ok {
-			return 0, fmt.Errorf("metric gate: benchmark %q not in current results", name)
-		}
-		v, ok := r.Metrics[metric]
-		if !ok {
-			return 0, fmt.Errorf("metric gate: benchmark %q reports no %q metric", name, metric)
-		}
-		return v, nil
-	}
-	for _, g := range strings.Split(spec, ",") {
-		metric, rest, ok := strings.Cut(g, ":")
-		if !ok {
-			return fmt.Errorf("metric gate %q: want 'metric:benchA>benchB'", g)
-		}
-		a, b, ok := strings.Cut(rest, ">")
-		if !ok {
-			return fmt.Errorf("metric gate %q: want 'metric:benchA>benchB'", g)
-		}
-		va, err := lookup(a, metric)
-		if err != nil {
-			return err
-		}
-		vb, err := lookup(b, metric)
-		if err != nil {
-			return err
-		}
-		if va <= vb {
-			return fmt.Errorf("metric gate failed: %s %s=%.4f is not above %s %s=%.4f",
-				a, metric, va, b, metric, vb)
-		}
-		fmt.Printf("perfcheck: metric gate ok: %s %s=%.4f > %s %s=%.4f\n", a, metric, va, b, metric, vb)
-	}
-	return nil
+	return ""
 }
 
 func main() {
-	var (
-		jsonOut    = flag.String("json", "", "write parsed results as JSON to this file")
-		baseline   = flag.String("baseline", "", "baseline bench output to gate against")
-		current    = flag.String("current", "", "candidate bench output (default: stdin)")
-		maxRegress = flag.Float64("max-regress", 0.10, "maximum tolerated ns/op slowdown fraction")
-		statsIn    = flag.String("stats", "", "QueryStats JSON (topkquery -stats-out) to fold into the -json artifact")
-		metricGate = flag.String("metric-gate", "", "comma-separated 'metric:benchA>benchB' assertions on the current run: benchA's custom metric must strictly exceed benchB's (e.g. 'util:BenchmarkX/async>BenchmarkX/wave')")
-		warmScen   = flag.Bool("warm-scenario", false, "run the cold-vs-warm judgment-store query mix instead of parsing bench output; gates warm TMC and byte-identical top-k, writes the report to -json")
-		warmRatio  = flag.Float64("warm-max-ratio", 0.20, "maximum tolerated warm/cold TMC ratio for -warm-scenario")
-		logBench   = flag.Bool("log-bench", false, "measure audit-log overhead (off vs batched vs fsync-always) on one deterministic query; gates batched at -log-max-overhead over no-log, writes the report to -json")
-		logReps    = flag.Int("log-reps", 7, "interleaved repetitions per mode for -log-bench (medians absorb noise)")
-		logMaxOver = flag.Float64("log-max-overhead", 0.05, "maximum tolerated batched-logging wall-time overhead fraction for -log-bench")
-		expBench   = flag.Bool("explain-bench", false, "measure cost-attribution + structured-logging overhead (off vs explain+log) on one deterministic query; gates the enabled mode at -explain-max-overhead over off, writes the report to -json")
-		expReps    = flag.Int("explain-reps", 7, "interleaved repetitions per mode for -explain-bench (best-of absorbs noise)")
-		expMaxOver = flag.Float64("explain-max-overhead", 0.03, "maximum tolerated attribution+logging wall-time overhead fraction for -explain-bench")
-		polRace    = flag.Bool("policy-race", false, "race all comparison policies × algorithms against the Lemma 1/3 infimum; gates legacy-policy overhead, per-cell determinism and adaptive dominance, writes the report to -json")
-		raceReps   = flag.Int("race-reps", 3, "repetitions per mode/cell for -policy-race (overhead best-of, determinism cross-check)")
-		polMaxOver = flag.Float64("policy-max-overhead", 0.03, "maximum tolerated policy-layer wall-time overhead on the legacy fixed-step path for -policy-race")
-	)
-	flag.Parse()
+	// The query's live heap is ~1 MB, so at the default GOGC every couple
+	// of MB a mode allocates becomes a whole extra GC cycle, a multiplier
+	// a long-lived topkd heap does not have. A higher target, the same
+	// for every mode, keeps the ratios on the observability work itself.
+	debug.SetGCPercent(400)
 
-	if *warmScen {
-		scenarioMain(*jsonOut, *warmRatio)
-		return
-	}
-	if *logBench {
-		logBenchMain(*jsonOut, *logReps, *logMaxOver)
-		return
-	}
-	if *expBench {
-		explainBenchMain(*jsonOut, *expReps, *expMaxOver)
-		return
-	}
-	if *polRace {
-		policyRaceMain(*jsonOut, *raceReps, *polMaxOver)
-		return
-	}
+	var first run
+	walls := make(map[string][]time.Duration)
+	failed := false
+	for i := 0; i < reps; i++ {
+		// Each rep starts at a different mode, so no mode always runs
+		// right after the same neighbour, and on a collected heap, so no
+		// run pays for the garbage of the one before.
+		for j := range modes {
+			m := modes[(i+j)%len(modes)]
+			runtime.GC()
+			dir, err := os.MkdirTemp("", "perfcheck-")
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "perfcheck: %v\n", err)
+				os.Exit(1)
+			}
+			r, err := runOnce(m, dir)
+			os.RemoveAll(dir)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "perfcheck: %s rep %d: %v\n", m.name, i, err)
+				os.Exit(1)
+			}
+			if i == 0 && j == 0 {
+				first = r
+			}
+			walls[m.name] = append(walls[m.name], r.wall)
 
-	var stats *crowdtopk.QueryStats
-	if *statsIn != "" {
-		data, err := os.ReadFile(*statsIn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: reading stats: %v\n", err)
-			os.Exit(1)
+			line := fmt.Sprintf("rep %d %-12s %8.2fms  tmc %d", i, m.name, ms(r.wall), r.res.TMC)
+			if r.records >= 0 {
+				line += fmt.Sprintf("  %d records on disk, verified", r.records)
+			}
+			if r.attributed >= 0 {
+				line += fmt.Sprintf("  attributed %d", r.attributed)
+			}
+			if bad := check(r, first); bad != "" {
+				line += "  FAIL: " + bad
+				failed = true
+			} else {
+				line += "  ok"
+			}
+			fmt.Println(line)
 		}
-		stats = &crowdtopk.QueryStats{}
-		if err := json.Unmarshal(data, stats); err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: parsing stats %s: %v\n", *statsIn, err)
-			os.Exit(1)
-		}
-		fmt.Printf("perfcheck: query stats: %d microtasks, %d rounds, %.1fms wall",
-			stats.TMC, stats.Rounds, float64(stats.WallTimeNs)/1e6)
-		if len(stats.Phases) > 0 {
-			fmt.Printf(" (select %d / partition %d / rank %d tasks)",
-				stats.Phases["select"].TMC, stats.Phases["partition"].TMC, stats.Phases["rank"].TMC)
-		}
-		if stats.Retries > 0 || stats.Quarantined > 0 {
-			fmt.Printf(", resilience: %d retries, %d quarantined", stats.Retries, stats.Quarantined)
-		}
-		fmt.Println()
 	}
 
-	var cur []result
-	var err error
-	if *current != "" {
-		cur, err = parseFile(*current)
-	} else {
-		cur, err = parse(os.Stdin)
+	base := slices.Min(walls["off"])
+	for _, m := range modes {
+		w := walls[m.name]
+		line := fmt.Sprintf("%-12s best %8.2fms  median %8.2fms over %d reps", m.name, ms(slices.Min(w)), ms(median(w)), len(w))
+		if m.name != "off" {
+			over := float64(slices.Min(w))/float64(base) - 1
+			line += fmt.Sprintf("  %+6.1f%% over off", 100*over)
+			switch {
+			case m.gate == 0:
+				line += "  (reported only)"
+			case over > m.gate:
+				line += fmt.Sprintf("  FAIL: gate %.0f%%", 100*m.gate)
+				failed = true
+			default:
+				line += fmt.Sprintf("  ok: gate %.0f%%", 100*m.gate)
+			}
+		}
+		fmt.Println(line)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfcheck: parsing current results: %v\n", err)
+	if failed {
+		fmt.Fprintln(os.Stderr, "perfcheck: failed")
 		os.Exit(1)
 	}
-	if len(cur) == 0 {
-		fmt.Fprintln(os.Stderr, "perfcheck: no benchmark results found in input")
-		os.Exit(1)
-	}
+	fmt.Printf("perfcheck: tmc %d and top-k identical across %d runs, every log on disk and every attribution tree reconciled\n",
+		first.res.TMC, reps*len(modes))
+}
 
-	if *jsonOut != "" {
-		// Without -stats the artifact stays the historical plain array, so
-		// older trajectory files and their consumers keep parsing.
-		var payload any = cur
-		if stats != nil {
-			payload = struct {
-				Benchmarks []result              `json:"benchmarks"`
-				QueryStats *crowdtopk.QueryStats `json:"query_stats"`
-			}{cur, stats}
-		}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: encoding JSON: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("perfcheck: wrote %d benchmark results to %s\n", len(cur), *jsonOut)
-	}
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-	if *metricGate != "" {
-		if err := gateMetrics(cur, *metricGate); err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if *baseline != "" {
-		base, err := parseFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: parsing baseline: %v\n", err)
-			os.Exit(1)
-		}
-		lines, failed := gate(base, cur, *maxRegress)
-		if len(lines) == 0 {
-			fmt.Fprintln(os.Stderr, "perfcheck: baseline and current share no benchmarks")
-			os.Exit(1)
-		}
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-		if failed {
-			fmt.Fprintf(os.Stderr, "perfcheck: benchmarks regressed more than %.0f%%\n", 100**maxRegress)
-			os.Exit(1)
-		}
-		fmt.Printf("perfcheck: %d benchmarks within %.0f%% of baseline\n", len(lines), 100**maxRegress)
-	}
+func median(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }

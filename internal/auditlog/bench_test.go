@@ -9,8 +9,9 @@ import (
 // BenchmarkAppendCommit measures the full logging cost of one purchased
 // batch: the producer-side copy and enqueue plus the committer's encode,
 // hash and write, amortized by draining everything at the end. This is
-// the number the -log-bench overhead gate rests on — on a single-core
-// machine the committer's CPU time is the whole durability tax.
+// the number the `make overhead` batched-logging gate rests on — on a
+// single-core machine the committer's CPU time is the whole durability
+// tax.
 func BenchmarkAppendCommit(b *testing.B) {
 	dir := b.TempDir()
 	// CompactEvery -1: Close only seals, so the deferred shutdown does

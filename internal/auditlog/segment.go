@@ -102,7 +102,8 @@ func leafHash(line []byte) [32]byte { return sha256.Sum256(line) }
 // because the tree buys per-segment attribution, not per-leaf proofs:
 // interior digests cost ~N/(arity-1) instead of ~N, and sealing a
 // default 4096-record segment hashes ~585 interior nodes instead of
-// ~4095 — committer CPU the -log-bench overhead gate budgets for.
+// ~4095 — committer CPU the `make overhead` batched-logging gate budgets
+// for.
 const merkleArity = 8
 
 // merkleRoot folds leaf hashes merkleArity at a time; a lone child is

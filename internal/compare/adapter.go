@@ -30,12 +30,8 @@ func NewFixedStep(t Tester, i, step int) *FixedStep {
 	return &FixedStep{T: t, I: i, Step: step}
 }
 
-// Name implements Policy: the schedule's name, not the wrapped tester's
-// (Tester reports the estimator; the two are labeled separately).
+// Name implements Policy: the schedule's name, not the wrapped tester's.
 func (f *FixedStep) Name() string { return "fixed" }
-
-// Tester returns the wrapped verdict tester.
-func (f *FixedStep) Tester() Tester { return f.T }
 
 // MinSamples implements Tester.
 func (f *FixedStep) MinSamples() int { return f.T.MinSamples() }
@@ -64,15 +60,4 @@ func (f *FixedStep) HalfWidth(v crowd.BagView) float64 {
 		return hw.HalfWidth(v)
 	}
 	return math.Inf(1)
-}
-
-// testerOf unwraps the verdict estimator behind a policy: the wrapped
-// tester for adapters, the policy itself otherwise (adaptive policies are
-// their own estimator).
-func testerOf(p Policy) Tester {
-	type unwrapper interface{ Tester() Tester }
-	if u, ok := p.(unwrapper); ok {
-		return u.Tester()
-	}
-	return p
 }

@@ -365,17 +365,6 @@ func resolvePolicy(t Tester, p Params) Policy {
 	return NewFixedStep(t, p.I, p.Step)
 }
 
-// reparameterizer is implemented by schedule policies whose constants are
-// derived from Params (the fixed-step adapter): Derive rebuilds them for
-// the sub-phase's parameters, the way the pre-policy-layer runner read
-// I and Step from its own Params.
-type reparameterizer interface {
-	withParams(p Params) Policy
-}
-
-// withParams implements reparameterizer.
-func (f *FixedStep) withParams(p Params) Policy { return NewFixedStep(f.T, p.I, p.Step) }
-
 // SetPolicy swaps the runner's decision policy — the per-query override
 // hook: a Session forks the shared runner, then pins the fork to the
 // policy the query asked for. A plain Tester is wrapped in the fixed-step
@@ -424,21 +413,19 @@ func (r *Runner) Fork() *Runner {
 	return f
 }
 
-// Derive returns a sub-phase runner with different execution parameters
-// but the same engine, policy, scheduler handle and accounting slice —
-// its purchases count toward the parent query. The derived runner gets a
-// PRIVATE conclusion memo: sub-phases like reference selection conclude
-// pairs under a tighter budget, and those budget-exhausted ties must not
-// leak into the main query's verdict table.
-func (r *Runner) Derive(p Params) *Runner {
+// Derive returns a sub-phase runner with per-pair budget b but the same
+// engine, policy, execution parameters, scheduler handle and accounting
+// slice — its purchases count toward the parent query. The derived runner
+// gets a PRIVATE conclusion memo: sub-phases like reference selection
+// conclude pairs under a tighter budget, and those budget-exhausted ties
+// must not leak into the main query's verdict table.
+func (r *Runner) Derive(b int) *Runner {
+	p := r.params
+	p.B = b
 	p.validate()
-	pol := r.policy
-	if rp, ok := pol.(reparameterizer); ok {
-		pol = rp.withParams(p)
-	}
 	d := &Runner{
 		eng:            r.eng,
-		policy:         pol,
+		policy:         r.policy,
 		params:         p,
 		tel:            r.tel,
 		ins:            r.ins,
@@ -725,11 +712,6 @@ func (r *Runner) Policy() Policy { return r.policy }
 // ("fixed", "voi", "pac", ...) — the label comparison metrics and spans
 // carry.
 func (r *Runner) PolicyName() string { return r.policy.Name() }
-
-// Tester returns the verdict estimator behind the policy: the wrapped
-// tester for the fixed-step adapter, the policy itself for adaptive
-// policies that embed their own stopping rule.
-func (r *Runner) Tester() Tester { return testerOf(r.policy) }
 
 // Params returns the execution parameters.
 func (r *Runner) Params() Params { return r.params }

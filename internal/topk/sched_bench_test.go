@@ -51,8 +51,9 @@ func (s stragglerOracle) Preference(rng *rand.Rand, i, j int) float64 {
 // that barrier; in async mode every decided or resubmitted chain keeps
 // the workers fed, so the straggler's batch overlaps the other pairs'
 // whole budget. Besides wall-clock time per batch it reports pool
-// utilization — busyNs/(wall × workers) — as the "util" metric that
-// perfcheck gates on (async must beat wave).
+// utilization — busyNs/(wall × workers) — as the informational "util"
+// metric; the straggler property itself is gated deterministically by
+// internal/sched TestStragglerStealCounter.
 func BenchmarkSchedulerStraggler(b *testing.B) {
 	const (
 		pairs   = 200

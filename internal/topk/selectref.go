@@ -180,10 +180,7 @@ func (s *SPR) selectReference(r *compare.Runner, items []int, k int) int {
 	// handle and accounting (its purchases are this query's cost) but
 	// gets a private conclusion memo — selection's reduced-budget ties
 	// must not pollute the main query's verdict table.
-	selR := r.Derive(compare.Params{
-		B: selB, I: r.Params().I, Step: r.Params().Step,
-		Parallelism: r.Params().Parallelism, Async: r.Params().Async,
-	})
+	selR := r.Derive(selB)
 
 	samples := make([][]int, plan.m)
 	for s := range samples {

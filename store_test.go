@@ -40,12 +40,14 @@ func TestWarmStartSPRSavesAcrossStores(t *testing.T) {
 	// SPR's sampling sub-phase re-buys its reduced-budget evidence (see
 	// compare.Runner.Concluded), so a warm SPR run is cheap, not free, and
 	// — like an in-session repeat — its answer can differ on boundary
-	// ties. Assert the aggregate contract over several seeds: heavy
-	// savings, near-total answer overlap.
+	// ties. Assert the aggregate contract over forty seeds: heavy
+	// savings, near-total answer overlap. Five seeds sat on the overlap
+	// threshold, too few to tell a reshuffled boundary tie from a
+	// regression.
 	d := SyntheticDataset(60, 0.25, 70)
 	var coldTotal, warmTotal int64
 	overlap, want := 0, 0
-	for seed := int64(71); seed < 76; seed++ {
+	for seed := int64(71); seed <= 110; seed++ {
 		store := NewMemoryJudgmentStore()
 		opts := Options{K: 8, Confidence: 0.95, Budget: 400, Seed: seed, JudgmentStore: store}
 		cold, err := Query(d, opts)

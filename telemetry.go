@@ -77,7 +77,7 @@ type PhaseStats struct {
 // via Telemetry.Stats, of a bundle's lifetime). Every counter is the
 // increment observed during the run, so session queries report their
 // incremental cost. It marshals to stable JSON for dashboards and the
-// perfcheck tool.
+// -stats-out files of topkquery and topkd.
 type QueryStats struct {
 	// WallTimeNs is the run's wall-clock duration in nanoseconds.
 	WallTimeNs int64 `json:"wall_time_ns"`
